@@ -279,6 +279,10 @@ def cmd_translate(args) -> int:
         trg_blocks = C.load_blocks(args.gold_context)
         if len(trg_blocks) != len(src_blocks):
             raise ValueError("gold context file must align with the source")
+        for i, (sb, tb) in enumerate(zip(src_blocks, trg_blocks)):
+            if len(sb) != len(tb):
+                raise ValueError(f"gold context document {i} has {len(tb)} "
+                                 f"sentences, the source has {len(sb)}")
         docs = [C.Document(f"d{i:05d}", list(zip(sb, tb)))
                 for i, (sb, tb) in enumerate(zip(src_blocks, trg_blocks))]
     else:
@@ -295,13 +299,13 @@ def cmd_translate(args) -> int:
         inputs.append(args.gold_context)
     write_manifest(out, "translate",
                    {**_args_snapshot(args), **s.resolved}, None, inputs, [out])
-    print(f"translated {len(docs)} documents "
-          f"({stats.cache_reuses} cached-context sentences)")
+    print(f"translated {len(docs)} documents; context read by sentences: "
+          f"{stats.cache_reuses} cached, {stats.teacher_forced} teacher-forced,"
+          f" {stats.context_recomputes} recomputed")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    s = Settings(args)
     hyp_docs = C.load_blocks(args.hyp)
     ref_docs = C.load_blocks(args.ref)
     if len(hyp_docs) != len(ref_docs):

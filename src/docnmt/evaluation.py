@@ -1,19 +1,22 @@
 """Document-aware decoding, corpus BLEU, and bootstrap significance.
 
-Decoding walks each document in order: source-side caches come from the
-sentences just encoded, target-side caches from the decoder states
-recorded while generating the previous hypothesis.  With
-`gold_context=True` the target-side caches are teacher-forced over the
-gold previous sentence instead, which is how the context mechanisms are
-probed on the synthetic tasks (the reference choice is unrecoverable from
-the model's own first-sentence output).
+Decoding walks documents in order with one beam search batched over them
+(greedy is beam 1): source-side caches come from the sentences just
+encoded, target-side caches from the decoder states recorded while
+generating the previous hypothesis.  With `gold_context=True` the
+target-side caches are teacher-forced over the gold previous sentence
+instead, which is how the context mechanisms are probed on the synthetic
+tasks (the reference choice is unrecoverable from the model's own
+first-sentence output).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 import math
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -22,253 +25,173 @@ from . import bpe as B
 from . import corpus as C
 from . import tensor as T
 from .bpe import Vocabulary
-from .model import ContextCache, TranslationModel
+from .model import (CONTEXTS, ContextCache, ContextEntry, EncoderStates,
+                    TranslationModel)
 
 debpe = B.remove_bpe
 
 
 @dataclass
 class TranslationStats:
-    cache_reuses: int = 0        # sentences translated with saved states
-    context_recomputes: int = 0  # sentences whose context ran a fresh encoder
+    """Sentences translated with context, once per context entry read."""
+
+    cache_reuses: int = 0        # saved encoder or decoder states
+    teacher_forced: int = 0      # decoder states recomputed over gold text
+    context_recomputes: int = 0  # the separated context LSTM
+
+    def count(self, entry: ContextEntry, gold_context: bool, n: int) -> None:
+        if entry.separated:
+            self.context_recomputes += n
+        elif entry.side == "target" and gold_context:
+            self.teacher_forced += n
+        else:
+            self.cache_reuses += n
+
+
+def _padded(lengths: list[int], values: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the given lengths, concatenated in `values`, zero-padded to
+    one array at least one column wide; also returns its float32 mask."""
+    mask = np.arange(max(1, max(lengths))) < np.array(lengths)[:, None]
+    out = np.zeros(mask.shape + values.shape[1:], dtype=values.dtype)
+    out[mask] = values
+    return out, mask.astype(np.float32)
 
 
 def _encode_rows(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    width = max(1, max((len(r) for r in rows), default=1))
-    mat = np.full((len(rows), width), B.PAD, dtype=np.int64)
-    mask = np.zeros((len(rows), width), dtype=np.float32)
-    for i, r in enumerate(rows):
-        mat[i, :len(r)] = r
-        mask[i, :len(r)] = 1.0
-    return mat, mask
+    return _padded([len(r) for r in rows],  # PAD is 0
+                   np.fromiter(chain.from_iterable(rows), dtype=np.int64))
 
 
-def _teacher_forced_states(model, enc, cache: ContextCache,
-                           gold_rows: list[list[int]]
-                           ) -> tuple[T.Tensor, np.ndarray]:
-    """Decoder states over gold tokens, as produced during training.
+def _beam_search(model, enc: EncoderStates, cache: ContextCache,
+                 beam_size: int, limits: np.ndarray,
+                 keep_states: bool):
+    """Beam search over every row of `enc` at once; beam size 1 is greedy.
 
-    `cache` must be the same context the sentence was decoded with, so the
-    recorded states match the training-time regime.  State t is the one
-    the decoder reached after consuming gold token t.
+    Scores are summed log-probabilities.  A hypothesis ends at EOS or at
+    its row's length limit (-1: no sentence); a row stops with `beam_size`
+    ended ones or no live beam and keeps its best (earliest on ties).
+    Candidates rank by (score desc, parent slot, token), like argmax.  Also
+    returns the top-layer states after each kept token was fed back (a
+    length-capped last token never was), collected if `keep_states`.
     """
-    ids, mask = _encode_rows(gold_rows)
-    b, n = ids.shape
-    inputs = np.concatenate(
-        [np.full((b, 1), B.BOS, dtype=np.int64), ids], axis=1)
-    carry = model.init_carry(enc)
-    states = []
-    for t in range(n + 1):
-        res = model.decode_step(inputs[:, t], carry, enc, cache)
-        carry = res.carry
-        states.append(res.h_top)
-    return T.stack(states[1:], axis=1), mask
-
-
-class _DocState:
-    """Everything position i-1 leaves behind for position i's cache."""
-
-    def __init__(self, enc, src_ids, src_mask, hyp_rows, dec_states, dec_mask,
-                 gold_rows, gold_dec=None):
-        self.enc = enc
-        self.src_ids = src_ids
-        self.src_mask = src_mask
-        self.hyp_rows = hyp_rows
-        self.dec_states = dec_states
-        self.dec_mask = dec_mask
-        self.gold_rows = gold_rows
-        self.gold_dec = gold_dec  # (states, mask) from the teacher-forced pass
-
-
-def _inference_cache(model, prev: Optional[_DocState], gold_context: bool,
-                     active: np.ndarray, stats: TranslationStats) -> ContextCache:
-    variant = model.cfg.variant
-    if prev is None or variant == "baseline":
-        return model.context_states()
-    n_active = int(active.sum())
-    kwargs = {}
-    if variant in ("shared-source", "shared-mix"):
-        kwargs["prev_encoder"] = prev.enc
-        stats.cache_reuses += n_active
-    if variant == "separated-source":
-        kwargs["prev_src_ids"] = prev.src_ids
-        kwargs["prev_src_mask"] = prev.src_mask
-        stats.context_recomputes += n_active
-    if variant in ("shared-target", "shared-mix"):
-        if gold_context:
-            dec_states, dec_mask = prev.gold_dec
-        else:
-            dec_states, dec_mask = prev.dec_states, prev.dec_mask
-            if variant == "shared-target":
-                stats.cache_reuses += n_active
-        kwargs["prev_decoder_states"] = dec_states
-        kwargs["prev_trg_mask"] = dec_mask
-    if variant == "separated-target":
-        rows = prev.gold_rows if gold_context else prev.hyp_rows
-        ids, mask = _encode_rows(rows)
-        kwargs["prev_trg_ids"] = ids
-        kwargs["prev_trg_mask"] = mask
-        stats.context_recomputes += n_active
-    return model.context_states(**kwargs)
-
-
-def _greedy_group(model, docs: Sequence[C.Document], src_vocab, trg_vocab,
-                  max_ratio: float, gold_context: bool,
-                  stats: TranslationStats) -> list[list[list[str]]]:
-    n_docs = len(docs)
-    max_positions = max(len(d) for d in docs)
-    hyps: list[list[list[str]]] = [[] for _ in range(n_docs)]
-    prev: Optional[_DocState] = None
-    for i in range(max_positions):
-        active = np.array([1.0 if i < len(d) else 0.0 for d in docs],
-                          dtype=np.float32)
-        src_rows = [src_vocab.encode(d.pairs[i][0]) if i < len(d) else []
-                    for d in docs]
-        gold_rows = [trg_vocab.encode(d.pairs[i][1]) if i < len(d) else []
-                     for d in docs]
-        src_ids, src_mask = _encode_rows(src_rows)
-        with T.no_grad():
-            enc = model.encode(src_ids, src_mask)
-            cache = _inference_cache(model, prev, gold_context, active, stats)
-            limits = [int(math.ceil(max_ratio * len(r))) if a else 0
-                      for r, a in zip(src_rows, active)]
-            finished = [a == 0.0 for a in active]
-            capped = [False] * n_docs
-            emitted: list[list[int]] = [[] for _ in range(n_docs)]
-            carry = model.init_carry(enc)
-            y = np.full(n_docs, B.BOS, dtype=np.int64)
-            h_steps: list[np.ndarray] = []
-            while not all(finished):
-                res = model.decode_step(y, carry, enc, cache)
-                carry = res.carry
-                h_steps.append(res.h_top.data)
-                tok = res.probs.data.argmax(axis=1)
-                nxt = np.full(n_docs, B.EOS, dtype=np.int64)
-                for d in range(n_docs):
-                    if finished[d]:
-                        continue
-                    t = int(tok[d])
-                    if t == B.EOS:
-                        finished[d] = True
-                    else:
-                        emitted[d].append(t)
-                        nxt[d] = t
-                        if len(emitted[d]) >= limits[d]:
-                            finished[d] = True
-                            capped[d] = True
-                y = nxt
-            # state for token t is the top state after it was fed back; a
-            # length-capped final token never was, so it has no state
-            per_doc_states = []
-            for d in range(n_docs):
-                valid = len(emitted[d]) - (1 if capped[d] else 0)
-                per_doc_states.append([h_steps[t + 1][d]
-                                       for t in range(valid)])
-            dec_states, dec_mask = _collect_states(per_doc_states, model)
-            gold_dec = None
-            if gold_context and model.cfg.variant in ("shared-target",
-                                                      "shared-mix"):
-                gold_dec = _teacher_forced_states(model, enc, cache, gold_rows)
-        for d in range(n_docs):
-            if active[d]:
-                hyps[d].append(trg_vocab.decode(emitted[d]))
-        prev = _DocState(enc, src_ids, src_mask, emitted, dec_states, dec_mask,
-                         gold_rows, gold_dec)
-    return hyps
-
-
-def _collect_states(per_doc_states: list[list[np.ndarray]],
-                    model) -> tuple[T.Tensor, np.ndarray]:
-    """Pad per-document decoder state lists into a cache matrix and mask."""
-    n_docs = len(per_doc_states)
-    width = max(1, max((len(s) for s in per_doc_states), default=1))
-    states = np.zeros((n_docs, width, model.cfg.hidden_dim), dtype=model.dtype)
-    mask = np.zeros((n_docs, width), dtype=np.float32)
-    for d, rows in enumerate(per_doc_states):
-        for t, row in enumerate(rows):
-            states[d, t] = row
-            mask[d, t] = 1.0
-    return T.Tensor(states), mask
-
-
-def _beam_sentence(model, enc, cache, beam_size: int, max_len: int
-                   ) -> tuple[list[int], list[np.ndarray]]:
-    """Beam search for one sentence; returns (tokens, per-step top states)."""
-    start_carry = model.init_carry(enc)
-    beams = [{"tokens": [], "logp": 0.0, "carry": start_carry, "states": []}]
-    done: list[dict] = []
-    for _ in range(max_len + 1):
-        if not beams:
-            break
-        y = np.array([b["tokens"][-1] if b["tokens"] else B.BOS
-                      for b in beams], dtype=np.int64)
-        carry = [(T.Tensor(np.concatenate([b["carry"][layer][0].data
-                                           for b in beams], axis=0)),
-                  T.Tensor(np.concatenate([b["carry"][layer][1].data
-                                           for b in beams], axis=0)))
-                 for layer in range(2)]
+    k, n = beam_size, len(limits)
+    if k > 1:  # one row per beam slot
+        def widen(x):
+            return T.Tensor(np.repeat(x.data, k, axis=0))
+        enc = EncoderStates(widen(enc.states), np.repeat(enc.mask, k, axis=0),
+                            [(widen(h), widen(c)) for h, c in enc.finals])
+        cache = ContextCache([(widen(s), np.repeat(m, k, axis=0))
+                              for s, m in cache.entries])
+    score = np.full((n, k), -np.inf)
+    score[limits >= 0, 0] = 0.0
+    carry, y = model.init_carry(enc), np.full(n * k, B.BOS, dtype=np.int64)
+    hidden, vocab = model.cfg.hidden_dim, model.cfg.trg_vocab_size
+    toks = np.zeros((n * k, 0), dtype=np.int64)
+    states = np.zeros((n * k, 0, hidden), dtype=model.dtype)
+    # a beam's candidates that can be taken: its k best continuing tokens
+    # and EOS; a lone beam's row stops at its first ended hypothesis
+    width = min(k + 1 if k > 1 else 1, vocab)
+    beam_at, rows = np.arange(n * k) * vocab, np.arange(n)[:, None]
+    origin = np.zeros((n, width), dtype=np.int64)  # parent slot of candidates
+    cand_tok = np.empty((n * k, width), dtype=np.int64)
+    cand_prob = np.empty((n * k, width))
+    upper = np.tri(2 * k, 2 * k, -1).T  # counts a row's earlier candidates
+    ended: list[list[tuple]] = [[] for _ in range(n)]
+    while score.max() > -np.inf:
         res = model.decode_step(y, carry, enc, cache)
-        logp = np.log(np.maximum(res.probs.data.astype(np.float64), 1e-300))
-        totals = np.array([b["logp"] for b in beams])[:, None] + logp
-        # stable sort so exact ties resolve like argmax (lowest index first)
-        flat = np.argsort(-totals.ravel(), kind="stable")[:2 * beam_size]
-        new_beams = []
-        for idx in flat:
-            parent, token = divmod(int(idx), logp.shape[1])
-            # h_top consumed the parent's newest token, so it lags by one
-            parent_states = beams[parent]["states"]
-            if beams[parent]["tokens"]:
-                parent_states = parent_states + [res.h_top.data[parent].copy()]
-            child = {
-                "tokens": beams[parent]["tokens"] + [token],
-                "logp": float(totals[parent, token]),
-                "carry": [(T.Tensor(res.carry[layer][0].data[parent:parent + 1].copy()),
-                           T.Tensor(res.carry[layer][1].data[parent:parent + 1].copy()))
-                          for layer in range(2)],
-                "states": parent_states,
-            }
-            if token == B.EOS:
-                child["tokens"] = child["tokens"][:-1]
-                done.append(child)
-            elif len(child["tokens"]) >= max_len:
-                done.append(child)
-            else:
-                new_beams.append(child)
-            if len(new_beams) >= beam_size:
-                break
-        beams = new_beams
-        if len(done) >= beam_size:
-            break
-    pool = done if done else beams
-    best = max(pool, key=lambda b: b["logp"])
-    return best["tokens"], best["states"][:len(best["tokens"])]
+        if keep_states and toks.shape[1]:
+            states = np.concatenate([states, res.h_top.data[:, None]], axis=1)
+        # each beam's `width` most probable tokens in argmax order, lowest id
+        # first on ties; picked entries are overwritten in place
+        probs, flat = res.probs.data, res.probs.data.reshape(-1)
+        for j in range(width):
+            cand_tok[:, j] = best = probs.argmax(axis=1)
+            cand_prob[:, j] = flat[beam_at + best]
+            flat[beam_at + best] = -1.0
+        total = (score.reshape(-1, 1)
+                 + np.log(np.maximum(cand_prob, 1e-300))).reshape(n, -1)
+        tok = cand_tok.reshape(n, -1)
+        if k > 1:  # merge the row's k lists into its 2k best; stable, so
+            # ties stay in (parent slot, token) order
+            order = np.argsort(-total, axis=1, kind="stable")[:, :2 * k]
+            total, tok, origin = total[rows, order], tok[rows, order], \
+                order // width
+        # take candidates in order until the row has k live beams
+        live = total > -np.inf
+        ends = (tok == B.EOS) | (toks.shape[1] + 1 >= limits[:, None])
+        grows = live & ~ends
+        taken = live & (grows @ upper[:tok.shape[1], :tok.shape[1]] < k)
+        new = taken & grows  # the row's new beams, in order, fill its slots
+        pick = np.argsort(~new, axis=1, kind="stable")[:, :k]
+        kept = new[rows, pick]
+        r, j = np.nonzero(taken & ends)
+        if len(r):
+            parent = r * k + origin[r, j]
+            for row, t, s, hyp, st in zip(
+                    r.tolist(), tok[r, j].tolist(), total[r, j].tolist(),
+                    toks[parent].tolist(), states[parent]):
+                ended[row].append((s, hyp if t == B.EOS else hyp + [t], st))
+                if len(ended[row]) == k:  # the row is done
+                    kept[row] = False
+        y = np.where(kept, tok[rows, pick], B.EOS).reshape(-1)
+        score = np.where(kept, total[rows, pick], -np.inf)
+        carry = res.carry
+        if k > 1:  # move each kept beam's history into its new slot
+            gather = (rows * k + origin[rows, pick]).reshape(-1)
+            toks, states = toks[gather], states[gather]
+            carry = [(T.Tensor(h.data[gather]), T.Tensor(c.data[gather]))
+                     for h, c in carry]
+        toks = np.concatenate([toks, y[:, None]], axis=1)
+    best = [max(e, key=itemgetter(0)) if e else (0.0, [], states[0, :0])
+            for e in ended]
+    return [b[1] for b in best], [b[2] for b in best]
 
 
-def _beam_document(model, doc: C.Document, src_vocab, trg_vocab,
-                   beam_size: int, max_ratio: float, gold_context: bool,
-                   stats: TranslationStats) -> list[list[str]]:
-    hyp_doc = []
-    prev: Optional[_DocState] = None
-    active = np.ones(1, dtype=np.float32)
-    for i, (src, trg) in enumerate(doc.pairs):
-        src_rows = [src_vocab.encode(src)]
-        gold_rows = [trg_vocab.encode(trg)]
+def _translate_group(model, docs: Sequence[C.Document], src_vocab, trg_vocab,
+                     beam_size: int, max_ratio: float, gold_context: bool,
+                     stats: TranslationStats) -> list[list[list[str]]]:
+    entries = CONTEXTS[model.cfg.variant]
+    target = next((e for e in entries if e.side == "target"), None)
+    keep_states = target == ContextEntry("target", False) and not gold_context
+    hyps: list[list[list[str]]] = [[] for _ in docs]
+    prev: dict = {}
+    for i in range(max(len(d) for d in docs)):
+        active = [i < len(d) for d in docs]
+        src_rows = [src_vocab.encode(d.pairs[i][0]) if a else []
+                    for d, a in zip(docs, active)]
+        limits = np.array([math.ceil(max_ratio * len(r)) if a else -1
+                           for r, a in zip(src_rows, active)])
         src_ids, src_mask = _encode_rows(src_rows)
         with T.no_grad():
             enc = model.encode(src_ids, src_mask)
-            cache = _inference_cache(model, prev, gold_context, active, stats)
-            tokens, states = _beam_sentence(
-                model, enc, cache, beam_size,
-                max_len=int(math.ceil(max_ratio * len(src_rows[0]))))
-            dec_states, dec_mask = _collect_states([states], model)
-            gold_dec = None
-            if gold_context and model.cfg.variant in ("shared-target",
-                                                      "shared-mix"):
-                gold_dec = _teacher_forced_states(model, enc, cache, gold_rows)
-        hyp_doc.append(trg_vocab.decode(tokens))
-        prev = _DocState(enc, src_ids, src_mask, [tokens], dec_states,
-                         dec_mask, gold_rows, gold_dec)
-    return hyp_doc
+            cache = model.context_states(**prev)
+            for entry in entries if i else ():
+                stats.count(entry, gold_context, sum(active))
+            emitted, states = _beam_search(model, enc, cache, beam_size,
+                                           limits, keep_states)
+            # what sentence i leaves for i + 1 (target side: only what is read)
+            prev = dict(prev_src_ids=src_ids, prev_src_mask=src_mask,
+                        prev_encoder=enc)
+            if keep_states:
+                dec, mask = _padded([len(s) for s in states],
+                                    np.concatenate(states))
+                prev.update(prev_decoder_states=T.Tensor(dec),
+                            prev_trg_mask=mask)
+            elif target:
+                rows = emitted if not gold_context else [
+                    trg_vocab.encode(d.pairs[i][1]) if a else []
+                    for d, a in zip(docs, active)]
+                ids, mask = _encode_rows(rows)
+                prev.update(prev_trg_ids=ids, prev_trg_mask=mask)
+                if not target.separated:
+                    bos = np.full((len(docs), 1), B.BOS, dtype=np.int64)
+                    prev["prev_decoder_states"] = model.teacher_forced(
+                        enc, np.concatenate([bos, ids], axis=1), cache)[1]
+        for d, a in enumerate(active):
+            if a:
+                hyps[d].append(trg_vocab.decode(emitted[d]))
+    return hyps
 
 
 def translate_corpus(model: TranslationModel, docs: Sequence[C.Document],
@@ -281,16 +204,10 @@ def translate_corpus(model: TranslationModel, docs: Sequence[C.Document],
         raise ValueError("beam_size must be >= 1")
     stats = TranslationStats()
     hyps: list[list[list[str]]] = []
-    if beam_size == 1:
-        for start in range(0, len(docs), batch_docs):
-            group = docs[start:start + batch_docs]
-            hyps.extend(_greedy_group(model, group, src_vocab, trg_vocab,
-                                      max_ratio, gold_context, stats))
-    else:
-        for doc in docs:
-            hyps.append(_beam_document(model, doc, src_vocab, trg_vocab,
-                                       beam_size, max_ratio, gold_context,
-                                       stats))
+    for start in range(0, len(docs), batch_docs):
+        hyps.extend(_translate_group(model, docs[start:start + batch_docs],
+                                     src_vocab, trg_vocab, beam_size,
+                                     max_ratio, gold_context, stats))
     return hyps, stats
 
 

@@ -14,17 +14,31 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import tensor as T
 
-VARIANTS = ("baseline", "separated-source", "separated-target",
-            "shared-source", "shared-target", "shared-mix")
-SOURCE_CONTEXT = frozenset({"separated-source", "shared-source", "shared-mix"})
-TARGET_CONTEXT = frozenset({"separated-target", "shared-target", "shared-mix"})
-SEPARATED = frozenset({"separated-source", "separated-target"})
+
+class ContextEntry(NamedTuple):
+    """One previous-sentence memory that context attention reads."""
+
+    side: str         # "source" or "target": which previous sentence
+    separated: bool   # run the context LSTM over it, not reuse saved states
+
+
+# Where each variant's context comes from; everything variant-specific
+# (parameters, training, decoding, decode counters) reads this table.
+CONTEXTS: dict[str, tuple[ContextEntry, ...]] = {
+    "baseline": (),
+    "separated-source": (ContextEntry("source", True),),
+    "separated-target": (ContextEntry("target", True),),
+    "shared-source": (ContextEntry("source", False),),
+    "shared-target": (ContextEntry("target", False),),
+    "shared-mix": (ContextEntry("source", False), ContextEntry("target", False)),
+}
+VARIANTS = tuple(CONTEXTS)
 
 INIT_RANGE = 0.08
 
@@ -49,7 +63,7 @@ class ModelConfig:
 
     @property
     def uses_context(self) -> bool:
-        return self.variant != "baseline"
+        return bool(CONTEXTS[self.variant])
 
 
 def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
@@ -73,7 +87,7 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     blocks = 3 if cfg.uses_context else 2
     shapes["attn_out"] = (blocks * h, h)
     shapes["out_proj"] = (h, cfg.trg_vocab_size)
-    if cfg.variant in SEPARATED:
+    if any(entry.separated for entry in CONTEXTS[cfg.variant]):
         for layer, in_dim in ((1, e), (2, h)):
             shapes[f"ctx_l{layer}_wx"] = (in_dim, 4 * h)
             shapes[f"ctx_l{layer}_wh"] = (h, 4 * h)
@@ -250,43 +264,33 @@ class TranslationModel:
                        prev_trg_mask: Optional[np.ndarray] = None,
                        training: bool = False,
                        rng: Optional[np.random.Generator] = None) -> ContextCache:
-        """Build the previous-sentence cache for this variant.
+        """Build the previous-sentence cache from this variant's `CONTEXTS`.
 
-        Call with no arguments for the first sentence of a document.
+        Only the keywords its entries read are needed; call with no
+        arguments for the first sentence of a document.
         Shared variants store detached copies of the saved states, so no
         gradient crosses the sentence boundary.
         """
-        variant = self.cfg.variant
-        no_prev = (prev_src_ids is None and prev_encoder is None
-                   and prev_decoder_states is None and prev_trg_ids is None)
-        if variant == "baseline" or no_prev:
+        if all(a is None for a in (prev_src_ids, prev_encoder,
+                                   prev_decoder_states, prev_trg_ids)):
             return ContextCache.empty()
-        entries: list[tuple[T.Tensor, np.ndarray]] = []
-        if variant in SOURCE_CONTEXT:
-            if variant == "separated-source":
-                if prev_src_ids is None or prev_src_mask is None:
-                    raise ValueError("separated-source needs the previous source tokens")
-                states = self._context_scan(prev_src_ids, prev_src_mask,
-                                            "src_emb", training, rng)
-                entries.append((states, prev_src_mask))
-            else:
-                if prev_encoder is None:
-                    raise ValueError("shared source context needs the previous "
-                                     "encoder states")
-                entries.append((prev_encoder.states.detach(), prev_encoder.mask))
-        if variant in TARGET_CONTEXT:
-            if variant == "separated-target":
-                if prev_trg_ids is None or prev_trg_mask is None:
-                    raise ValueError("separated-target needs the previous target tokens")
-                states = self._context_scan(prev_trg_ids, prev_trg_mask,
-                                            "trg_emb", training, rng)
-                entries.append((states, prev_trg_mask))
-            else:
-                if prev_decoder_states is None or prev_trg_mask is None:
-                    raise ValueError("shared target context needs the previous "
-                                     "decoder states")
-                entries.append((prev_decoder_states.detach(), prev_trg_mask))
-        return ContextCache(entries) if entries else ContextCache.empty()
+        given = {  # (side, separated) -> what the previous sentence left
+            ("source", True): (prev_src_ids, prev_src_mask),
+            ("target", True): (prev_trg_ids, prev_trg_mask),
+            ("source", False): (getattr(prev_encoder, "states", None),
+                                getattr(prev_encoder, "mask", None)),
+            ("target", False): (prev_decoder_states, prev_trg_mask)}
+        entries = []
+        for side, separated in CONTEXTS[self.cfg.variant]:
+            states, mask = given[side, separated]
+            if states is None or mask is None:
+                raise ValueError(f"{self.cfg.variant} needs the previous {side} "
+                                 + ("tokens" if separated else "states"))
+            if separated:
+                table = "src_emb" if side == "source" else "trg_emb"
+                states = self._context_scan(states, mask, table, training, rng)
+            entries.append((states if separated else states.detach(), mask))
+        return ContextCache(entries)
 
     # -- decoder ----------------------------------------------------------
 
@@ -324,39 +328,46 @@ class TranslationModel:
         result.probs = T.softmax(logits, axis=-1)
         return result
 
+    def teacher_forced(self, enc: EncoderStates, trg_in: np.ndarray,
+                       cache: ContextCache, training: bool = False,
+                       rng: Optional[np.random.Generator] = None
+                       ) -> tuple[T.Tensor, T.Tensor]:
+        """Run the decoder over BOS + gold tokens `trg_in` (B, N+1).
+
+        Returns (h_tilde (B, N+1, H), decoder cache states (B, N, H)); the
+        cache state for token n is the top-layer state after consuming y_n.
+        """
+        emb = T.embedding(self.params["trg_emb"], trg_in)
+        emb = self._dropout(emb, training, rng)
+        carry = self.init_carry(enc)
+        h_tildes, h_tops = [], []
+        for t in range(trg_in.shape[1]):
+            result = self._step(T.select(emb, 1, t), carry, enc, cache,
+                                training, rng)
+            carry = result.carry
+            h_tildes.append(result.h_tilde)
+            h_tops.append(result.h_top)
+        return T.stack(h_tildes, axis=1), T.stack(h_tops[1:], axis=1)
+
     def forward_loss(self, pos, cache: ContextCache, training: bool = False,
                      rng: Optional[np.random.Generator] = None
                      ) -> tuple[T.Tensor, EncoderStates, T.Tensor, float]:
         """Teacher-forced mean NLL for one batch position.
 
         Returns (loss, encoder states, decoder cache states (B,N,H), the
-        number of target tokens counted).  The decoder cache state for
-        token n is the top-layer state after the decoder consumed y_n, so
-        every cached state reflects the tokens emitted so far.
+        number of target tokens counted); see `teacher_forced`.
         """
         full_mask = pos.out_mask * pos.active[:, None]
         if full_mask.sum() == 0:
             raise ValueError("forward_loss on a batch position with no active rows")
         enc = self.encode(pos.src, pos.src_mask * pos.active[:, None],
                           training, rng)
-        b, n_in = pos.trg_in.shape
-        emb = T.embedding(self.params["trg_emb"], pos.trg_in)
-        emb = self._dropout(emb, training, rng)
-        carry = self.init_carry(enc)
-        h_tildes, h_tops = [], []
-        for t in range(n_in):
-            x_t = T.select(emb, 1, t)
-            result = self._step(x_t, carry, enc, cache, training, rng)
-            carry = result.carry
-            h_tildes.append(result.h_tilde)
-            h_tops.append(result.h_top)
-        stacked = T.reshape(T.stack(h_tildes, axis=1),
-                            (b * n_in, self.cfg.hidden_dim))
+        h_tilde, dec_states = self.teacher_forced(enc, pos.trg_in, cache,
+                                                  training, rng)
+        stacked = T.reshape(h_tilde, (-1, self.cfg.hidden_dim))
         logits = T.matmul(stacked, self.params["out_proj"])
         loss = T.cross_entropy(logits, pos.trg_out.reshape(-1),
                                full_mask.reshape(-1))
-        dec_states = T.stack(h_tops[1:], axis=1) if n_in > 1 \
-            else T.stack(h_tops, axis=1)
         return loss, enc, dec_states, float(full_mask.sum())
 
 

@@ -46,7 +46,7 @@ def grad_enabled() -> bool:
 class Tensor:
     """A dense n-dimensional float array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, np.ndarray) and dtype is None \
@@ -61,7 +61,6 @@ class Tensor:
         self.data: np.ndarray = arr
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._parents: tuple[Tensor, ...] = ()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -186,7 +185,6 @@ def _make(out_data: np.ndarray, parents: Sequence[Tensor],
     out = Tensor(out_data)
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._parents = tuple(parents)
         _graph.nodes.append(((out,), backward_fn(out)))
     return out
 
@@ -196,7 +194,6 @@ def _make_pair(first: np.ndarray, second: np.ndarray, parents: Sequence[Tensor],
     a, b = Tensor(first), Tensor(second)
     if _grad_enabled and any(p.requires_grad for p in parents):
         a.requires_grad = b.requires_grad = True
-        a._parents = b._parents = tuple(parents)
         _graph.nodes.append(((a, b), backward_fn(a, b)))
     return a, b
 
@@ -659,11 +656,6 @@ def clip_global_norm(params: Sequence[Tensor], max_norm: float) -> float:
             if p.grad is not None:
                 p.grad *= scale
     return norm
-
-
-def assert_finite(x: Tensor, name: str = "tensor") -> None:
-    if not np.isfinite(x.data).all():
-        raise FloatingPointError(f"{name} contains NaN or Inf")
 
 
 def make_rng(seed: int, *tags: int) -> np.random.Generator:

@@ -10,6 +10,7 @@ context for the variants that need one.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -25,7 +26,7 @@ from .model import (ModelConfig, TranslationModel, VARIANTS,
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when the loss stops being finite; training cannot continue."""
+    """Raised when the loss or the gradient stops being finite."""
 
 
 @dataclass
@@ -89,17 +90,6 @@ def select_best(log: TrainLog, checkpoints: Sequence) -> object:
     return checkpoints[log.best_epoch - 1]
 
 
-def _build_cache(model: TranslationModel, prev, training: bool, rng):
-    if prev is None or not model.cfg.uses_context:
-        return model.context_states()
-    enc, dec, pos = prev
-    return model.context_states(
-        prev_src_ids=pos.src, prev_src_mask=pos.src_mask,
-        prev_encoder=enc, prev_decoder_states=dec,
-        prev_trg_ids=pos.trg, prev_trg_mask=pos.trg_mask,
-        training=training, rng=rng)
-
-
 def _dev_bleu(model, dev_docs, src_vocab, trg_vocab) -> float:
     """Greedy-decode the dev set and score BLEU on de-segmented text.
 
@@ -143,10 +133,11 @@ def train_model(model: TranslationModel, train_docs: Sequence[C.Document],
         epoch_nll, epoch_tokens = 0.0, 0.0
         for b_idx, batch in enumerate(batches):
             opt.zero_grad()
-            prev = None
+            prev: dict = {}
             batch_tokens = 0.0
             for p_idx, pos in enumerate(batch.positions):
-                cache = _build_cache(model, prev, training=True, rng=dropout_rng)
+                cache = model.context_states(**prev, training=True,
+                                             rng=dropout_rng)
                 loss, enc, dec, ntok = model.forward_loss(
                     pos, cache, training=True, rng=dropout_rng)
                 if not np.isfinite(loss.data):
@@ -157,14 +148,19 @@ def train_model(model: TranslationModel, train_docs: Sequence[C.Document],
                 epoch_nll += float(loss.data) * ntok
                 epoch_tokens += ntok
                 batch_tokens += ntok
-                prev = (enc, dec, pos)
+                prev = dict(prev_src_ids=pos.src, prev_src_mask=pos.src_mask,
+                            prev_encoder=enc, prev_decoder_states=dec,
+                            prev_trg_ids=pos.trg, prev_trg_mask=pos.trg_mask)
             scale = 1.0 / batch_tokens
             for p in params:
                 if p.grad is not None:
                     p.grad *= scale
             if grad_hook is not None:
                 grad_hook(model)
-            T.clip_global_norm(params, cfg.grad_clip_norm)
+            norm = T.clip_global_norm(params, cfg.grad_clip_norm)
+            if not math.isfinite(norm):
+                raise TrainingDiverged(
+                    f"non-finite gradient norm at epoch {epoch}, batch {b_idx}")
             opt.step()
         dev = _dev_bleu(model, dev_docs, src_vocab, trg_vocab)
         log.records.append(EpochRecord(

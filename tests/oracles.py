@@ -71,3 +71,118 @@ def scalar_lstm_step(x, h_prev, c_prev, w_x, w_h, b):
         c[j] = f_g * c_prev[j] + i_g * g_g
         h[j] = o_g * math.tanh(c[j])
     return h, c
+
+
+def _one_row(ids):
+    """A (1, width) id matrix and its mask, at least one column wide."""
+    mat = np.zeros((1, max(1, len(ids))), dtype=np.int64)
+    mask = np.zeros(mat.shape, dtype=np.float32)
+    mat[0, :len(ids)] = ids
+    mask[0, :len(ids)] = 1.0
+    return mat, mask
+
+
+def greedy_reference(model, doc, src_vocab, trg_vocab, gold_context=False,
+                     max_ratio=2.0):
+    """Greedy decoding of one document, one sentence at a time, batch 1.
+
+    Each step takes the argmax of `decode_step` (lowest id on ties) and a
+    hypothesis ends at EOS or at ceil(max_ratio * source length) tokens.
+    Sentence i's context comes from sentence i-1 through the public
+    `context_states` keywords: its encoder states and source ids, its
+    hypothesis (or, with gold_context, gold) ids, and the top-layer
+    decoder states after each of those tokens was fed back.
+    """
+    from docnmt import bpe as B
+    from docnmt import tensor as T
+
+    hyps, prev = [], {}
+    for src, trg in doc.pairs:
+        src_ids, src_mask = _one_row(src_vocab.encode(src))
+        limit = math.ceil(max_ratio * len(src))
+        with T.no_grad():
+            enc = model.encode(src_ids, src_mask)
+            cache = model.context_states(**prev)
+            carry = model.init_carry(enc)
+            y, out, states = B.BOS, [], []
+            while True:
+                res = model.decode_step(np.array([y]), carry, enc, cache)
+                carry = res.carry
+                if out:
+                    states.append(res.h_top.data[0])
+                y = int(np.argmax(res.probs.data[0]))
+                if y == B.EOS:
+                    break
+                out.append(y)
+                if len(out) >= limit:
+                    break
+            context_ids = out
+            if gold_context:
+                context_ids = trg_vocab.encode(trg)
+                carry, states = model.init_carry(enc), []
+                for y in [B.BOS] + context_ids:
+                    res = model.decode_step(np.array([y]), carry, enc, cache)
+                    carry = res.carry
+                    states.append(res.h_top.data[0])
+                states = states[1:]
+        hyps.append(trg_vocab.decode(out))
+        trg_ids, trg_mask = _one_row(context_ids)
+        dec = np.zeros((1, max(1, len(states)), model.cfg.hidden_dim),
+                       dtype=model.dtype)
+        dec[0, :len(states)] = np.reshape(states, (-1, model.cfg.hidden_dim))
+        _, dec_mask = _one_row([0] * len(states))
+        prev = dict(prev_src_ids=src_ids, prev_src_mask=src_mask,
+                    prev_encoder=enc, prev_trg_ids=trg_ids,
+                    prev_decoder_states=T.Tensor(dec),
+                    prev_trg_mask=trg_mask if model.cfg.variant ==
+                    "separated-target" else dec_mask)
+    return hyps
+
+
+
+def beam_reference(model, doc, src_vocab, trg_vocab, beam_size, max_ratio=2.0):
+    """Beam search over one document, one sentence and one beam at a time.
+
+    Context comes only from the previous sentence's encoder states, so it
+    serves the baseline and shared-source variants.  Each step ranks every
+    (beam, token) extension by (score desc, beam index, token id), scores
+    being summed float64 log-probabilities, and takes extensions in that
+    order among the best 2k until k beams continue; an extension ending at
+    EOS or at the length limit joins the finished list, and a sentence
+    stops once k hypotheses finished.  The best finished hypothesis wins,
+    the earliest on ties.
+    """
+    from docnmt import bpe as B
+    from docnmt import tensor as T
+
+    hyps, prev = [], {}
+    for src, _ in doc.pairs:
+        src_ids, src_mask = _one_row(src_vocab.encode(src))
+        limit = math.ceil(max_ratio * len(src))
+        with T.no_grad():
+            enc = model.encode(src_ids, src_mask)
+            cache = model.context_states(**prev)
+            beams, done = [([], 0.0, model.init_carry(enc))], []
+            while beams and len(done) < beam_size:
+                ranked = []
+                for b, (toks, score, carry) in enumerate(beams):
+                    y = toks[-1] if toks else B.BOS
+                    res = model.decode_step(np.array([y]), carry, enc, cache)
+                    logp = np.log(np.maximum(
+                        res.probs.data[0].astype(np.float64), 1e-300))
+                    ranked += [(-(score + lp), b, t, toks, res.carry)
+                               for t, lp in enumerate(logp.tolist())]
+                ranked.sort(key=lambda c: c[:3])
+                beams = []
+                for neg, _, t, toks, carry in ranked[:2 * beam_size]:
+                    if t == B.EOS:
+                        done.append((-neg, toks))
+                    elif len(toks) + 1 >= limit:
+                        done.append((-neg, toks + [t]))
+                    else:
+                        beams.append((toks + [t], -neg, carry))
+                    if len(beams) == beam_size:
+                        break
+        hyps.append(trg_vocab.decode(max(done, key=lambda d: d[0])[1]))
+        prev = dict(prev_encoder=enc)
+    return hyps

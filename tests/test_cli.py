@@ -119,7 +119,7 @@ class TestTranslateEvaluateCompare:
         out = capsys.readouterr().out
         assert "p = 1.0000" in out
 
-    def test_gold_context_translation(self, pipeline):
+    def test_gold_context_translation(self, pipeline, capsys):
         root, _, prep, models, _ = pipeline
         run_ok(["translate", "--ckpt", str(models / "st.s1"),
                 "--src", str(prep / "syn.test.src"),
@@ -128,6 +128,28 @@ class TestTranslateEvaluateCompare:
                 "--trg-vocab", str(prep / "syn.vocab.trg"),
                 "--out", str(root / "st.hyp")])
         assert (root / "st.hyp").exists()
+        docs = C.load_blocks(prep / "syn.test.src")
+        context = sum(len(d) - 1 for d in docs)
+        assert (f"0 cached, {context} teacher-forced, 0 recomputed"
+                in capsys.readouterr().out)
+
+    def test_gold_context_sentence_count_mismatch_rejected(self, pipeline,
+                                                           tmp_path):
+        root, _, prep, models, _ = pipeline
+        blocks = C.load_blocks(prep / "syn.test.trg")
+        short = tmp_path / "short.trg"
+        short.write_text("\n".join(
+            "".join(" ".join(s) + "\n" for s in block)
+            for block in [blocks[0]] + [blocks[1][:-1]] + blocks[2:]))
+        with pytest.raises(ValueError, match=(
+                rf"document 1 has {len(blocks[1]) - 1} sentences, "
+                rf"the source has {len(blocks[1])}")):
+            cli.run(["translate", "--ckpt", str(models / "st.s1"),
+                     "--src", str(prep / "syn.test.src"),
+                     "--gold-context", str(short),
+                     "--src-vocab", str(prep / "syn.vocab.src"),
+                     "--trg-vocab", str(prep / "syn.vocab.trg"),
+                     "--out", str(tmp_path / "st.hyp")])
 
 
 class TestParams:

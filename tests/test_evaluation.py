@@ -10,6 +10,7 @@ from docnmt import tensor as T
 from docnmt.model import ModelConfig, TranslationModel, VARIANTS
 
 from model_helpers import tiny_task, variant_family
+from oracles import beam_reference, greedy_reference
 
 
 @pytest.fixture(scope="module")
@@ -17,6 +18,16 @@ def task():
     docs, seg, metas, src_v, trg_v = tiny_task(n_docs=5, seed=12,
                                                sentences=(2, 4))
     return docs, seg, metas, src_v, trg_v
+
+
+def eos_prone_model(variant, src_v, trg_v, seed):
+    """Random model whose larger EOS weights end some hypotheses before the
+    length cap (an untrained model otherwise never emits EOS)."""
+    model = TranslationModel(
+        ModelConfig(variant, 12, 12, len(src_v), len(trg_v)),
+        rng=T.make_rng(seed, 0))
+    model.params["out_proj"].data[:, B.EOS] *= 8.0
+    return model
 
 
 class TestBleu:
@@ -110,18 +121,32 @@ class TestTranslate:
             outputs.append(hyp)
         assert all(o == outputs[0] for o in outputs)
 
-    def test_beam_one_equals_greedy(self, task):
+    @pytest.mark.parametrize("gold", [False, True])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_beam_one_equals_greedy(self, task, variant, gold):
         _, seg, _, src_v, trg_v = task
-        model = TranslationModel(
-            ModelConfig("shared-target", 12, 12, len(src_v), len(trg_v)),
-            rng=T.make_rng(9, 0))
-        for doc in seg[:3]:
-            batched, _ = E.translate_corpus(model, [doc], src_v, trg_v,
-                                            beam_size=1)
-            beamed = E._beam_document(model, doc, src_v, trg_v, beam_size=1,
-                                      max_ratio=2.0, gold_context=False,
-                                      stats=E.TranslationStats())
-            assert batched[0] == beamed
+        model = eos_prone_model(variant, src_v, trg_v, seed=9)
+        batched, _ = E.translate_corpus(model, seg, src_v, trg_v,
+                                        beam_size=1, gold_context=gold)
+        assert batched == [greedy_reference(model, doc, src_v, trg_v,
+                                            gold_context=gold)
+                           for doc in seg]
+
+    @pytest.mark.parametrize("variant", ["baseline", "shared-source"])
+    def test_beam_matches_reference(self, task, variant):
+        _, seg, _, src_v, trg_v = task
+        model = eos_prone_model(variant, src_v, trg_v, seed=19)
+        # every other target token gets a twin with the same embedding and
+        # output column, so candidates and whole beams tie exactly
+        for t in range(B.UNK + 2, len(trg_v), 2):
+            model.params["trg_emb"].data[t] = model.params["trg_emb"].data[t - 1]
+            model.params["out_proj"].data[:, t] = \
+                model.params["out_proj"].data[:, t - 1]
+        for beam in (2, 4):
+            hyps, _ = E.translate_corpus(model, seg, src_v, trg_v,
+                                         beam_size=beam)
+            assert hyps == [beam_reference(model, doc, src_v, trg_v, beam)
+                            for doc in seg]
 
     def test_wider_beam_runs_and_respects_length_cap(self, task):
         _, seg, _, src_v, trg_v = task
@@ -163,6 +188,24 @@ class TestTranslate:
         assert stats.context_recomputes == sum(len(d) - 1 for d in seg)
         assert stats.cache_reuses == 0
 
+    @pytest.mark.parametrize("variant,gold,per_sentence", [
+        ("shared-target", True, (0, 1, 0)),
+        ("shared-mix", False, (2, 0, 0)),
+        ("shared-mix", True, (1, 1, 0)),
+        ("separated-target", True, (0, 0, 1)),
+    ])
+    def test_every_context_entry_counted_by_origin(self, task, variant, gold,
+                                                   per_sentence):
+        _, seg, _, src_v, trg_v = task
+        model = TranslationModel(
+            ModelConfig(variant, 12, 12, len(src_v), len(trg_v)),
+            rng=T.make_rng(17, 0))
+        _, stats = E.translate_corpus(model, seg, src_v, trg_v,
+                                      gold_context=gold)
+        n = sum(len(d) - 1 for d in seg)
+        assert (stats.cache_reuses, stats.teacher_forced,
+                stats.context_recomputes) == tuple(c * n for c in per_sentence)
+
     def test_greedy_deterministic(self, task):
         _, seg, _, src_v, trg_v = task
         model = TranslationModel(
@@ -172,16 +215,22 @@ class TestTranslate:
         b, _ = E.translate_corpus(model, seg, src_v, trg_v)
         assert a == b
 
-    def test_batched_and_per_document_translation_agree(self, task):
+    @pytest.mark.parametrize("gold", [False, True])
+    @pytest.mark.parametrize("beam", [1, 4])
+    def test_batched_and_per_document_translation_agree(self, task, beam,
+                                                        gold):
         _, seg, _, src_v, trg_v = task
-        model = TranslationModel(
-            ModelConfig("shared-target", 12, 12, len(src_v), len(trg_v)),
-            rng=T.make_rng(15, 0))
+        model = eos_prone_model("shared-target", src_v, trg_v, seed=15)
         batched, _ = E.translate_corpus(model, seg, src_v, trg_v,
+                                        beam_size=beam, gold_context=gold,
                                         batch_docs=len(seg))
-        single = [E.translate_document(model, d, src_v, trg_v)[0]
+        pairs, _ = E.translate_corpus(model, seg, src_v, trg_v,
+                                      beam_size=beam, gold_context=gold,
+                                      batch_docs=2)
+        single = [E.translate_document(model, d, src_v, trg_v,
+                                       beam_size=beam, gold_context=gold)[0]
                   for d in seg]
-        assert batched == single
+        assert batched == pairs == single
 
     def test_gold_context_accepts_documents_with_gold_targets(self, task):
         _, seg, _, src_v, trg_v = task

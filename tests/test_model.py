@@ -141,7 +141,7 @@ class TestContextStates:
         cache = model.context_states(prev_encoder=enc)
         states, mask = cache.entries[0]
         np.testing.assert_array_equal(states.data, enc.states.data)
-        assert states._parents == () and not states.requires_grad
+        assert not states.requires_grad
 
     def test_cache_detached_and_copied(self, task):
         _, batch, src_v, trg_v = task
@@ -377,15 +377,19 @@ class TestGradientFlowBoundary:
 
     def test_cache_states_have_no_graph_parents(self, task):
         _, batch, src_v, trg_v = task
-        model = make_model("shared-target", src_v, trg_v)
-        pos = batch.positions[0]
-        loss, enc, dec, _ = model.forward_loss(pos, ContextCache.empty(),
-                                               training=False)
-        cache = model.context_states(prev_decoder_states=dec,
-                                     prev_trg_mask=pos.trg_mask)
+        model = make_model("shared-mix", src_v, trg_v)
+        first, second = batch.positions[0], batch.positions[1]
+        _, enc, dec, _ = model.forward_loss(first, ContextCache.empty())
+        cache = model.context_states(prev_encoder=enc,
+                                     prev_decoder_states=dec,
+                                     prev_trg_mask=first.trg_mask)
+        assert len(cache.entries) == 2
         for states, _ in cache.entries:
-            assert states._parents == () and not states.requires_grad
-        T.backward(loss)  # leave the global graph clean
+            assert not states.requires_grad
+        loss, _, _, _ = model.forward_loss(second, cache)
+        T.backward(loss)  # also clears the first position's records
+        assert model.params["attn_out"].grad is not None
+        assert enc.states.grad is None and dec.grad is None
 
 
 class TestGradients:

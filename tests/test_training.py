@@ -112,6 +112,22 @@ class TestPretrain:
         with pytest.raises(TR.TrainingDiverged, match="epoch 1"):
             TR.train_model(model, seg, seg, src_v, trg_v, tcfg)
 
+    def test_non_finite_gradient_stops_before_the_update(self, synth_setup):
+        seg, src_v, trg_v = synth_setup
+        model = TranslationModel(
+            ModelConfig("baseline", 16, 16, len(src_v), len(trg_v)),
+            rng=T.make_rng(1, 0))
+
+        def poison(m):
+            m.params["out_proj"].grad[0, 0] = np.nan
+
+        tcfg = TR.TrainConfig(epochs=1, lr=0.1, max_docs_per_batch=4, seed=1)
+        with pytest.raises(TR.TrainingDiverged, match=r"epoch 1, batch 0$"):
+            TR.train_model(model, seg, seg, src_v, trg_v, tcfg,
+                           grad_hook=poison)
+        for p in model.param_list():
+            assert np.isfinite(p.data).all()
+
     def test_non_baseline_config_rejected(self, synth_setup):
         seg, src_v, trg_v = synth_setup
         mcfg = ModelConfig("shared-target", 16, 16, len(src_v), len(trg_v))
