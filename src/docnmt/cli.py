@@ -55,33 +55,6 @@ def read_config(path) -> dict[str, str]:
     return values
 
 
-class Settings:
-    """Flag > config file > desk default resolution."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = read_config(args.config) if getattr(args, "config", None) \
-            else {}
-        self.resolved: dict = {}
-
-    def get(self, name, cast=None):
-        flag = getattr(self.args, name, None)
-        if flag is not None:
-            value = flag
-        elif name in self.config:
-            value = self.config[name]
-        elif name in DESK_PROFILE:
-            value = DESK_PROFILE[name]
-        else:
-            raise KeyError(f"no value for setting {name}")
-        if cast is None and name in DESK_PROFILE:
-            cast = type(DESK_PROFILE[name])
-        if cast is not None:
-            value = cast(value)
-        self.resolved[name] = value
-        return value
-
-
 def _sha256(path) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -90,15 +63,13 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _args_snapshot(args: argparse.Namespace) -> dict:
-    return {k: v for k, v in vars(args).items() if k != "fn" and v is not None}
-
-
-def write_manifest(primary, command: str, settings: dict, seed,
+def write_manifest(primary, command: str, args: argparse.Namespace, seed,
                    inputs: list, outputs: list) -> None:
+    """Settings are the subcommand's arguments, resolved (see `run`)."""
     doc = {
         "command": command,
-        "settings": {k: str(v) for k, v in sorted(settings.items())},
+        "settings": {k: str(v) for k, v in sorted(vars(args).items())
+                     if k != "fn" and v is not None},
         "seed": seed,
         "inputs": {str(p): _sha256(p) for p in sorted(str(x) for x in inputs)},
         "outputs": sorted(str(p) for p in outputs),
@@ -114,15 +85,6 @@ def _load_vocabs(args) -> tuple[B.Vocabulary, B.Vocabulary]:
 
 def _flatten(blocks):
     return [sent for block in blocks for sent in block]
-
-
-def _write_doc_file(path, docs_sentences) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for i, doc in enumerate(docs_sentences):
-            if i:
-                f.write("\n")
-            for sent in doc:
-                f.write(" ".join(sent) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -141,24 +103,23 @@ def cmd_synth(args) -> int:
     meta_path = out_dir / f"{args.name}.meta"
     C.save_documents(docs, src_path, trg_path)
     C.save_meta(metas, meta_path)
-    write_manifest(src_path, "synth", _args_snapshot(args), args.seed, [],
+    write_manifest(src_path, "synth", args, args.seed, [],
                    [src_path, trg_path, meta_path])
     print(f"wrote {len(docs)} documents to {src_path} / {trg_path}")
     return 0
 
 
 def cmd_preprocess(args) -> int:
-    s = Settings(args)
-    merges = s.get("merges")
-    max_len = s.get("max_len")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     docs = C.load_documents(args.train_src, args.train_trg)
-    kept = C.filter_documents(docs, max_len=max_len)
-    src_model = B.learn_bpe([s_ for d in kept for s_ in d.src_sentences], merges)
-    trg_model = B.learn_bpe([t for d in kept for t in d.trg_sentences], merges)
+    kept = C.filter_documents(docs, max_len=args.max_len)
+    src_model = B.learn_bpe([s for d in kept for s in d.src_sentences],
+                            args.merges)
+    trg_model = B.learn_bpe([t for d in kept for t in d.trg_sentences],
+                            args.merges)
     train_seg = C.segment_documents(kept, src_model, trg_model)
-    src_vocab = B.build_vocab([s_ for d in train_seg for s_ in d.src_sentences])
+    src_vocab = B.build_vocab([s for d in train_seg for s in d.src_sentences])
     trg_vocab = B.build_vocab([t for d in train_seg for t in d.trg_sentences])
 
     name = args.name
@@ -188,117 +149,84 @@ def cmd_preprocess(args) -> int:
     src_vocab.save(vocab_src)
     trg_vocab.save(vocab_trg)
     outputs.extend([codes_src, codes_trg, vocab_src, vocab_trg])
-    write_manifest(out_dir / f"{name}.train.src", "preprocess",
-                   {**_args_snapshot(args), **s.resolved}, None, inputs, outputs)
+    write_manifest(out_dir / f"{name}.train.src", "preprocess", args, None,
+                   inputs, outputs)
     print(f"{len(docs)} documents loaded, {len(kept)} kept after length filter")
     print(f"vocabulary sizes: source {len(src_vocab)}, target {len(trg_vocab)}")
     return 0
 
 
-def _train_common(args, s: Settings):
+def _train_seeds(args, command: str, train, inputs: list) -> int:
+    """Train one model per seed: checkpoint, trainlog and manifest each,
+    then the best dev BLEU per seed (mean +- stdev for several seeds).
+    `train(train_docs, dev_docs, src_vocab, trg_vocab, train_cfg)` returns
+    the best model and its training log."""
     src_vocab, trg_vocab = _load_vocabs(args)
     train_docs = C.load_documents(args.train_src, args.train_trg)
     dev_docs = C.load_documents(args.dev_src, args.dev_trg)
     seeds_arg = args.seeds if args.seeds is not None else str(args.seed)
     seeds = [int(x) for x in seeds_arg.split(",")]
-    tcfg_base = dict(
-        epochs=s.get("epochs"), lr=s.get("lr"), dropout=s.get("dropout"),
-        max_docs_per_batch=s.get("batch_docs"),
-        grad_clip_norm=s.get("grad_clip"))
-    return src_vocab, trg_vocab, train_docs, dev_docs, seeds, tcfg_base
-
-
-def _report_seed_scores(scores: dict[int, float]) -> None:
+    scores = {}
+    for seed in seeds:
+        prefix = args.out if len(seeds) == 1 else f"{args.out}.s{seed}"
+        tcfg = TrainConfig(seed=seed, epochs=args.epochs, lr=args.lr,
+                           dropout=args.dropout,
+                           max_docs_per_batch=args.batch_docs,
+                           grad_clip_norm=args.grad_clip)
+        best, log = train(train_docs, dev_docs, src_vocab, trg_vocab, tcfg)
+        save_checkpoint(best, prefix)
+        log.save(f"{prefix}.trainlog")
+        write_manifest(prefix, command, args, seed,
+                       [args.train_src, args.train_trg, args.dev_src,
+                        args.dev_trg, args.src_vocab, args.trg_vocab, *inputs],
+                       [f"{prefix}.manifest", f"{prefix}.bin",
+                        f"{prefix}.trainlog"])
+        scores[seed] = log.records[log.best_epoch - 1].dev_bleu
     for seed, score in scores.items():
         print(f"seed {seed}: best dev BLEU {score:.2f}")
     if len(scores) > 1:
         vals = list(scores.values())
         print(f"mean {statistics.mean(vals):.2f} "
               f"+- {statistics.stdev(vals):.2f} over {len(vals)} runs")
+    return 0
 
 
 def cmd_train_baseline(args) -> int:
-    s = Settings(args)
-    src_vocab, trg_vocab, train_docs, dev_docs, seeds, tcfg_base = \
-        _train_common(args, s)
-    mcfg_args = dict(emb_dim=s.get("emb_dim"), hidden_dim=s.get("hidden_dim"),
-                     src_vocab_size=len(src_vocab),
-                     trg_vocab_size=len(trg_vocab), dropout=s.get("dropout"))
-    scores = {}
-    for seed in seeds:
-        prefix = args.out if len(seeds) == 1 else f"{args.out}.s{seed}"
-        model_cfg = ModelConfig(variant="baseline", **mcfg_args)
-        tcfg = TrainConfig(seed=seed, **tcfg_base)
-        best, log = pretrain_baseline(train_docs, dev_docs, src_vocab,
-                                      trg_vocab, model_cfg, tcfg)
-        save_checkpoint(best, prefix)
-        log.save(f"{prefix}.trainlog")
-        write_manifest(prefix, "train-baseline",
-                       {**_args_snapshot(args), **s.resolved}, seed,
-                       [args.train_src, args.train_trg, args.dev_src,
-                        args.dev_trg, args.src_vocab, args.trg_vocab],
-                       [f"{prefix}.manifest", f"{prefix}.bin",
-                        f"{prefix}.trainlog"])
-        scores[seed] = log.records[log.best_epoch - 1].dev_bleu
-    _report_seed_scores(scores)
-    return 0
+    def train(train_docs, dev_docs, src_vocab, trg_vocab, tcfg):
+        cfg = ModelConfig("baseline", args.emb_dim, args.hidden_dim,
+                          len(src_vocab), len(trg_vocab), dropout=args.dropout)
+        return pretrain_baseline(train_docs, dev_docs, src_vocab, trg_vocab,
+                                 cfg, tcfg)
+    return _train_seeds(args, "train-baseline", train, [])
 
 
 def cmd_finetune(args) -> int:
-    s = Settings(args)
-    src_vocab, trg_vocab, train_docs, dev_docs, seeds, tcfg_base = \
-        _train_common(args, s)
-    scores = {}
-    for seed in seeds:
-        prefix = args.out if len(seeds) == 1 else f"{args.out}.s{seed}"
-        baseline = load_checkpoint(args.baseline)
-        tcfg = TrainConfig(seed=seed, **tcfg_base)
-        best, log = fine_tune_context(baseline, args.variant, train_docs,
-                                      dev_docs, src_vocab, trg_vocab, tcfg)
-        save_checkpoint(best, prefix)
-        log.save(f"{prefix}.trainlog")
-        write_manifest(prefix, "finetune",
-                       {**_args_snapshot(args), **s.resolved}, seed,
-                       [args.train_src, args.train_trg, args.dev_src,
-                        args.dev_trg, args.src_vocab, args.trg_vocab,
-                        f"{args.baseline}.manifest", f"{args.baseline}.bin"],
-                       [f"{prefix}.manifest", f"{prefix}.bin",
-                        f"{prefix}.trainlog"])
-        scores[seed] = log.records[log.best_epoch - 1].dev_bleu
-    _report_seed_scores(scores)
-    return 0
+    def train(train_docs, dev_docs, src_vocab, trg_vocab, tcfg):
+        return fine_tune_context(load_checkpoint(args.baseline), args.variant,
+                                 train_docs, dev_docs, src_vocab, trg_vocab,
+                                 tcfg)
+    return _train_seeds(args, "finetune", train,
+                        [f"{args.baseline}.manifest", f"{args.baseline}.bin"])
 
 
 def cmd_translate(args) -> int:
-    s = Settings(args)
-    beam = s.get("beam")
     model = load_checkpoint(args.ckpt)
     src_vocab, trg_vocab = _load_vocabs(args)
-    src_blocks = C.load_blocks(args.src)
     if args.gold_context:
-        trg_blocks = C.load_blocks(args.gold_context)
-        if len(trg_blocks) != len(src_blocks):
-            raise ValueError("gold context file must align with the source")
-        for i, (sb, tb) in enumerate(zip(src_blocks, trg_blocks)):
-            if len(sb) != len(tb):
-                raise ValueError(f"gold context document {i} has {len(tb)} "
-                                 f"sentences, the source has {len(sb)}")
-        docs = [C.Document(f"d{i:05d}", list(zip(sb, tb)))
-                for i, (sb, tb) in enumerate(zip(src_blocks, trg_blocks))]
+        docs = C.load_documents(args.src, args.gold_context)
     else:
         docs = [C.Document(f"d{i:05d}", [(sent, []) for sent in block])
-                for i, block in enumerate(src_blocks)]
+                for i, block in enumerate(C.load_blocks(args.src))]
     hyps, stats = E.translate_corpus(model, docs, src_vocab, trg_vocab,
-                                     beam_size=beam,
+                                     beam_size=args.beam,
                                      gold_context=bool(args.gold_context))
     out = Path(args.out)
-    _write_doc_file(out, [[E.debpe(sent) for sent in doc] for doc in hyps])
+    C.save_blocks([[E.debpe(sent) for sent in doc] for doc in hyps], out)
     inputs = [args.src, f"{args.ckpt}.manifest", f"{args.ckpt}.bin",
               args.src_vocab, args.trg_vocab]
     if args.gold_context:
         inputs.append(args.gold_context)
-    write_manifest(out, "translate",
-                   {**_args_snapshot(args), **s.resolved}, None, inputs, [out])
+    write_manifest(out, "translate", args, None, inputs, [out])
     print(f"translated {len(docs)} documents; context read by sentences: "
           f"{stats.cache_reuses} cached, {stats.teacher_forced} teacher-forced,"
           f" {stats.context_recomputes} recomputed")
@@ -306,11 +234,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    hyp_docs = C.load_blocks(args.hyp)
     ref_docs = C.load_blocks(args.ref)
-    if len(hyp_docs) != len(ref_docs):
-        raise ValueError(f"{len(hyp_docs)} hypothesis documents vs "
-                         f"{len(ref_docs)} reference documents")
+    hyp_docs = C.load_blocks(args.hyp, [len(doc) for doc in ref_docs])
     report = E.bleu(_flatten(hyp_docs), _flatten(ref_docs))
     print(report.pretty())
     records = report.records()
@@ -323,19 +248,20 @@ def cmd_evaluate(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(records)
-        write_manifest(args.out, "evaluate", _args_snapshot(args), None,
+        write_manifest(args.out, "evaluate", args, None,
                        [args.hyp, args.ref] + ([args.meta] if args.meta else []),
                        [args.out])
     return 0
 
 
 def cmd_compare(args) -> int:
-    s = Settings(args)
-    n = s.get("n_resamples")
-    hyps_a = _flatten(C.load_blocks(args.hyp_a))
-    hyps_b = _flatten(C.load_blocks(args.hyp_b))
-    refs = _flatten(C.load_blocks(args.refs))
-    result = E.bootstrap_significance(hyps_a, hyps_b, refs, n_resamples=n,
+    ref_docs = C.load_blocks(args.refs)
+    lengths = [len(doc) for doc in ref_docs]
+    hyps_a = _flatten(C.load_blocks(args.hyp_a, lengths))
+    hyps_b = _flatten(C.load_blocks(args.hyp_b, lengths))
+    refs = _flatten(ref_docs)
+    result = E.bootstrap_significance(hyps_a, hyps_b, refs,
+                                      n_resamples=args.n_resamples,
                                       seed=args.seed)
     bleu_a = E.bleu(hyps_a, refs).bleu
     bleu_b = E.bleu(hyps_b, refs).bleu
@@ -346,16 +272,13 @@ def cmd_compare(args) -> int:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write(f"bleu_a={bleu_a:.2f}\nbleu_b={bleu_b:.2f}\n"
                     + result.records())
-        write_manifest(args.out, "compare",
-                       {**_args_snapshot(args), **s.resolved}, args.seed,
+        write_manifest(args.out, "compare", args, args.seed,
                        [args.hyp_a, args.hyp_b, args.refs], [args.out])
     return 0
 
 
 def cmd_params(args) -> int:
-    s = Settings(args)
-    emb = s.get("emb_dim")
-    hidden = s.get("hidden_dim")
+    emb, hidden = args.emb_dim, args.hidden_dim
     if args.src_vocab:
         v_src = len(B.Vocabulary.load(args.src_vocab))
     else:
@@ -495,8 +418,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # flag > config file > desk default, for each setting this subcommand has
+    config = read_config(args.config) if args.config else {}
+    for name, default in DESK_PROFILE.items():
+        if hasattr(args, name) and getattr(args, name) is None:
+            setattr(args, name, type(default)(config.get(name, default)))
     return args.fn(args)
 
 

@@ -1,7 +1,10 @@
 """Document-structured parallel corpora.
 
 File format: paired plain-text files (`name.src` / `name.trg`), one
-sentence per line, documents separated by blank lines.  Synthetic corpora
+sentence per line, documents separated by blank lines.  Hypothesis files
+share the format with one line per source sentence, so an empty
+hypothesis is an empty line; they are read along the reference's sentence
+counts (`load_blocks(path, lengths)`).  Synthetic corpora
 additionally carry a `name.meta` file recording each document's hidden
 synonym choice and which sentences contain the ambiguous slot.
 """
@@ -9,6 +12,7 @@ synonym choice and which sentences contain the ambiguous slot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,9 +65,40 @@ def _read_blocks(path) -> list[list[str]]:
     return blocks
 
 
-def load_blocks(path) -> list[list[list[str]]]:
-    """Blank-line-delimited documents as token lists, one file only."""
-    return [[line.split() for line in block] for block in _read_blocks(path)]
+def _read_along(path, lengths: Sequence[int]) -> list[list[str]]:
+    """Document i is the next lengths[i] lines, blank ones included (an
+    empty sentence); exactly one blank line separates documents."""
+    blocks = []
+    with open(path, encoding="utf-8") as f:
+        lines = (line.rstrip("\n") for line in f)
+        for i, n in enumerate(lengths):
+            block = [line for _, line in zip(range(n), lines)]
+            if len(block) < n:
+                raise ValueError(f"{path}: the file ends after {len(block)} "
+                                 f"of the {n} sentences of document {i}")
+            blocks.append(block)
+            last = i == len(lengths) - 1
+            after = next(lines, None)
+            if after is not None and (last or after.strip()):
+                raise ValueError(
+                    f"{path}: document {i} is not {n} sentences followed by "
+                    + ("the end of the file" if last else "a blank line"))
+    return blocks
+
+
+def load_blocks(path, lengths: Optional[Sequence[int]] = None
+                ) -> list[list[list[str]]]:
+    """Documents as token lists, one file only.
+
+    Blank lines separate documents.  Given the sentence count of each
+    document (`lengths`, e.g. from the reference), the file is read along
+    it instead, so an empty line inside a document is an empty sentence;
+    a file that does not have that structure raises a ValueError naming
+    the file and the first document that differs.
+    """
+    blocks = _read_blocks(path) if lengths is None \
+        else _read_along(path, lengths)
+    return [[line.split() for line in block] for block in blocks]
 
 
 def load_documents(src_path, trg_path) -> list[Document]:
@@ -71,28 +106,32 @@ def load_documents(src_path, trg_path) -> list[Document]:
     trg_blocks = _read_blocks(trg_path)
     if len(src_blocks) != len(trg_blocks):
         raise ValueError(
-            f"document count mismatch: {len(src_blocks)} source blocks vs "
-            f"{len(trg_blocks)} target blocks")
+            f"{trg_path}: document count mismatch: {len(src_blocks)} source "
+            f"blocks vs {len(trg_blocks)} target blocks")
     docs = []
     for idx, (sb, tb) in enumerate(zip(src_blocks, trg_blocks)):
         if len(sb) != len(tb):
-            raise ValueError(
-                f"document {idx}: {len(sb)} source sentences vs {len(tb)} target")
+            raise ValueError(f"{trg_path}: document {idx} has {len(tb)} "
+                             f"sentences, the source has {len(sb)}")
         pairs = [(s.split(), t.split()) for s, t in zip(sb, tb)]
         docs.append(Document(doc_id=f"d{idx:05d}", pairs=pairs))
     return docs
 
 
-def save_documents(docs: Sequence[Document], src_path, trg_path) -> None:
-    with open(src_path, "w", encoding="utf-8") as fs, \
-            open(trg_path, "w", encoding="utf-8") as ft:
-        for i, doc in enumerate(docs):
+def save_blocks(blocks: Sequence[Sequence[Sequence[str]]], path) -> None:
+    """Write documents of token lists: one sentence per line (an empty
+    sentence is an empty line), one blank line between documents."""
+    with open(path, "w", encoding="utf-8") as f:
+        for i, block in enumerate(blocks):
             if i:
-                fs.write("\n")
-                ft.write("\n")
-            for src, trg in doc.pairs:
-                fs.write(" ".join(src) + "\n")
-                ft.write(" ".join(trg) + "\n")
+                f.write("\n")
+            for sent in block:
+                f.write(" ".join(sent) + "\n")
+
+
+def save_documents(docs: Sequence[Document], src_path, trg_path) -> None:
+    save_blocks([d.src_sentences for d in docs], src_path)
+    save_blocks([d.trg_sentences for d in docs], trg_path)
 
 
 def filter_documents(docs: Sequence[Document], max_len: int = 100) -> list[Document]:
@@ -143,18 +182,22 @@ class DocumentBatch:
         return len(self.doc_ids)
 
 
-def _pad_matrix(rows: list[list[int]], width: int, pad: int) -> np.ndarray:
-    out = np.full((len(rows), width), pad, dtype=np.int64)
-    for i, row in enumerate(rows):
-        out[i, :len(row)] = row
-    return out
-
-
-def _mask_matrix(rows: list[list[int]], width: int) -> np.ndarray:
-    out = np.zeros((len(rows), width), dtype=np.float32)
-    for i, row in enumerate(rows):
-        out[i, :len(row)] = 1.0
-    return out
+def pad_rows(rows: Sequence, width: Optional[int] = None
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of token ids, or arrays of per-token vectors, zero-padded (PAD
+    is 0) to `width` columns, by default the longest row and at least one;
+    also returns the float32 mask of real entries."""
+    lengths = np.array([len(r) for r in rows])
+    if width is None:
+        width = max(1, lengths.max())
+    mask = np.arange(width) < lengths[:, None]
+    if isinstance(rows[0], np.ndarray):
+        values = np.concatenate(rows)
+    else:
+        values = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
+    out = np.zeros(mask.shape + values.shape[1:], dtype=values.dtype)
+    out[mask] = values
+    return out, mask.astype(np.float32)
 
 
 def build_batch(docs: Sequence[Document], src_vocab: B.Vocabulary,
@@ -173,18 +216,15 @@ def build_batch(docs: Sequence[Document], src_vocab: B.Vocabulary,
                 src_rows.append([])
                 trg_rows.append([])
                 active.append(0.0)
-        m = max(1, max(len(r) for r in src_rows))
-        n = max(1, max(len(r) for r in trg_rows))
-        in_rows = [[B.BOS] + r for r in trg_rows]
-        out_rows = [r + [B.EOS] if r else [] for r in trg_rows]
+        src, src_mask = pad_rows(src_rows)
+        trg, trg_mask = pad_rows(trg_rows)
+        n = trg.shape[1]
+        trg_in, _ = pad_rows([[B.BOS] + r for r in trg_rows], n + 1)
+        trg_out, out_mask = pad_rows([r + [B.EOS] if r else []
+                                      for r in trg_rows], n + 1)
         positions.append(BatchPosition(
-            src=_pad_matrix(src_rows, m, B.PAD),
-            src_mask=_mask_matrix(src_rows, m),
-            trg=_pad_matrix(trg_rows, n, B.PAD),
-            trg_mask=_mask_matrix(trg_rows, n),
-            trg_in=_pad_matrix(in_rows, n + 1, B.PAD),
-            trg_out=_pad_matrix(out_rows, n + 1, B.PAD),
-            out_mask=_mask_matrix(out_rows, n + 1),
+            src=src, src_mask=src_mask, trg=trg, trg_mask=trg_mask,
+            trg_in=trg_in, trg_out=trg_out, out_mask=out_mask,
             active=np.asarray(active, dtype=np.float32),
         ))
     return DocumentBatch(doc_ids=[d.doc_id for d in docs],

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
 import math
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -46,21 +45,6 @@ class TranslationStats:
             self.teacher_forced += n
         else:
             self.cache_reuses += n
-
-
-def _padded(lengths: list[int], values: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the given lengths, concatenated in `values`, zero-padded to
-    one array at least one column wide; also returns its float32 mask."""
-    mask = np.arange(max(1, max(lengths))) < np.array(lengths)[:, None]
-    out = np.zeros(mask.shape + values.shape[1:], dtype=values.dtype)
-    out[mask] = values
-    return out, mask.astype(np.float32)
-
-
-def _encode_rows(rows: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    return _padded([len(r) for r in rows],  # PAD is 0
-                   np.fromiter(chain.from_iterable(rows), dtype=np.int64))
 
 
 def _beam_search(model, enc: EncoderStates, cache: ContextCache,
@@ -156,41 +140,35 @@ def _translate_group(model, docs: Sequence[C.Document], src_vocab, trg_vocab,
     keep_states = target == ContextEntry("target", False) and not gold_context
     hyps: list[list[list[str]]] = [[] for _ in docs]
     prev: dict = {}
-    for i in range(max(len(d) for d in docs)):
-        active = [i < len(d) for d in docs]
-        src_rows = [src_vocab.encode(d.pairs[i][0]) if a else []
-                    for d, a in zip(docs, active)]
-        limits = np.array([math.ceil(max_ratio * len(r)) if a else -1
-                           for r, a in zip(src_rows, active)])
-        src_ids, src_mask = _encode_rows(src_rows)
+    batch = C.build_batch(docs, src_vocab, trg_vocab)
+    for i, pos in enumerate(batch.positions):
+        active = pos.active > 0
+        n_src = pos.src_mask.sum(axis=1).astype(np.int64)
+        limits = np.where(active, np.ceil(max_ratio * n_src),
+                          -1).astype(np.int64)
         with T.no_grad():
-            enc = model.encode(src_ids, src_mask)
+            enc = model.encode(pos.src, pos.src_mask)
             cache = model.context_states(**prev)
             for entry in entries if i else ():
-                stats.count(entry, gold_context, sum(active))
+                stats.count(entry, gold_context, int(active.sum()))
             emitted, states = _beam_search(model, enc, cache, beam_size,
                                            limits, keep_states)
             # what sentence i leaves for i + 1 (target side: only what is read)
-            prev = dict(prev_src_ids=src_ids, prev_src_mask=src_mask,
+            prev = dict(prev_src_ids=pos.src, prev_src_mask=pos.src_mask,
                         prev_encoder=enc)
             if keep_states:
-                dec, mask = _padded([len(s) for s in states],
-                                    np.concatenate(states))
+                dec, mask = C.pad_rows(states)
                 prev.update(prev_decoder_states=T.Tensor(dec),
                             prev_trg_mask=mask)
             elif target:
-                rows = emitted if not gold_context else [
-                    trg_vocab.encode(d.pairs[i][1]) if a else []
-                    for d, a in zip(docs, active)]
-                ids, mask = _encode_rows(rows)
+                ids, mask = (pos.trg, pos.trg_mask) if gold_context \
+                    else C.pad_rows(emitted)
                 prev.update(prev_trg_ids=ids, prev_trg_mask=mask)
-                if not target.separated:
-                    bos = np.full((len(docs), 1), B.BOS, dtype=np.int64)
+                if not target.separated:  # shared, so gold context here
                     prev["prev_decoder_states"] = model.teacher_forced(
-                        enc, np.concatenate([bos, ids], axis=1), cache)[1]
-        for d, a in enumerate(active):
-            if a:
-                hyps[d].append(trg_vocab.decode(emitted[d]))
+                        enc, pos.trg_in, cache)[1]
+        for d in np.flatnonzero(active):
+            hyps[d].append(trg_vocab.decode(emitted[d]))
     return hyps
 
 

@@ -401,6 +401,7 @@ def save_checkpoint(model: TranslationModel, prefix: str) -> None:
 
 
 def load_checkpoint(prefix: str, dtype=np.float32) -> TranslationModel:
+    """Read a checkpoint, checking its parameters against its config."""
     fields: dict[str, str] = {}
     order: list[tuple[str, tuple[int, ...]]] = []
     with open(f"{prefix}.manifest", encoding="utf-8") as f:
@@ -423,14 +424,31 @@ def load_checkpoint(prefix: str, dtype=np.float32) -> TranslationModel:
         layers=int(fields["layers"]),
         dropout=float(fields["dropout"]),
     )
+    shapes = parameter_shapes(cfg)
+    listed = dict(order)
+    for name in {**shapes, **listed}:
+        if name not in listed:
+            problem = "is missing"
+        elif name not in shapes:
+            problem = f"is not part of a {cfg.variant} model"
+        elif listed[name] != shapes[name]:
+            problem = f"has shape {listed[name]}, the config needs " \
+                f"{shapes[name]}"
+        else:
+            continue
+        raise ValueError(f"{prefix}.manifest: parameter {name} {problem}")
+    if order != list(shapes.items()):
+        raise ValueError(f"{prefix}.manifest: parameters are not listed "
+                         "once each in canonical order")
     blob = np.fromfile(f"{prefix}.bin", dtype="<f4")
+    if blob.size != param_count(cfg):
+        raise ValueError(f"{prefix}.bin holds {blob.size} values, the "
+                         f"config needs {param_count(cfg)}")
     params: dict[str, T.Tensor] = {}
     offset = 0
-    for name, shape in order:
+    for name, shape in shapes.items():
         size = int(np.prod(shape))
         chunk = blob[offset:offset + size].reshape(shape)
         params[name] = T.Tensor(chunk, requires_grad=True, dtype=dtype)
         offset += size
-    if offset != blob.size:
-        raise ValueError(f"checkpoint blob size mismatch at {prefix}.bin")
     return TranslationModel(cfg, params=params, dtype=dtype)

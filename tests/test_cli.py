@@ -5,6 +5,7 @@ import pytest
 
 from docnmt import cli
 from docnmt import corpus as C
+from docnmt import evaluation as E
 
 
 def run_ok(argv):
@@ -69,6 +70,13 @@ class TestSynthPreprocess:
         assert manifest["command"] == "preprocess"
         assert len(manifest["inputs"]) == 6
         assert any(p.endswith("syn.vocab.trg") for p in manifest["outputs"])
+
+    def test_manifest_records_resolved_settings(self, pipeline):
+        _, _, prep, _, _ = pipeline
+        settings = json.loads(
+            (prep / "syn.train.src.manifest.json").read_text())["settings"]
+        assert settings["merges"] == "60"              # flag
+        assert settings["max_len"] == str(cli.DESK_PROFILE["max_len"])
 
 
 class TestTraining:
@@ -150,6 +158,59 @@ class TestTranslateEvaluateCompare:
                      "--src-vocab", str(prep / "syn.vocab.src"),
                      "--trg-vocab", str(prep / "syn.vocab.trg"),
                      "--out", str(tmp_path / "st.hyp")])
+
+
+class TestHypothesisFiles:
+    """Hypothesis files are read along the reference: one line per
+    sentence, an empty hypothesis is an empty line."""
+
+    REFS = [[["a", "b", "c", "d"], ["e", "f", "g", "h"], ["a", "c", "e"]],
+            [["b", "d", "f", "h"], ["c", "d", "e", "f"], ["g", "h", "a"]],
+            [["h", "g", "f", "e"], ["d", "c", "b", "a"]]]
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        ref = tmp_path / "ref.trg"
+        C.save_blocks(self.REFS, ref)
+        # empty hypotheses at the start, middle and end of a document
+        hyps = [[[], *self.REFS[0][1:]],
+                [self.REFS[1][0], [], self.REFS[1][2]],
+                [self.REFS[2][0], []]]
+        hyp = tmp_path / "empty.hyp"
+        C.save_blocks(hyps, hyp)
+        return ref, hyp, hyps
+
+    def test_empty_hypotheses_are_scored(self, files, capsys):
+        ref, hyp, hyps = files
+        run_ok(["evaluate", "--hyp", str(hyp), "--ref", str(ref)])
+        want = E.bleu([s for d in hyps for s in d],
+                      [s for d in self.REFS for s in d])
+        assert 0 < want.bleu < 100
+        assert capsys.readouterr().out == want.pretty() + "\n"
+        run_ok(["compare", str(hyp), str(hyp), str(ref), "--n", "20"])
+        assert "p = 1.0000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("edit,document", [
+        ("missing separator", 0), ("extra line at the end", 2),
+        ("extra line in a document", 1), ("missing last line", 2)])
+    def test_misaligned_file_names_file_and_document(self, files, edit,
+                                                     document):
+        ref, hyp, _ = files
+        lines = hyp.read_text().split("\n")[:-1]  # 3 + 1 + 3 + 1 + 2 lines
+        if edit == "missing separator":
+            del lines[3]
+        elif edit == "extra line at the end":
+            lines.append("x")
+        elif edit == "extra line in a document":
+            lines.insert(5, "x")
+        else:
+            del lines[-1]
+        hyp.write_text("".join(line + "\n" for line in lines))
+        match = rf"{hyp.name}: .*document {document}\b"
+        with pytest.raises(ValueError, match=match):
+            cli.run(["evaluate", "--hyp", str(hyp), "--ref", str(ref)])
+        with pytest.raises(ValueError, match=match):
+            cli.run(["compare", str(ref), str(hyp), str(ref)])
 
 
 class TestParams:

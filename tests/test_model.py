@@ -459,3 +459,32 @@ class TestCheckpoint:
             f.write(b"\x00\x00\x00\x00")
         with pytest.raises(ValueError):
             load_checkpoint(prefix)
+
+    @pytest.mark.parametrize("edit,message", [
+        ("extra", r"ckpt\.manifest: parameter extra_w is not part of a "
+                  r"baseline model"),
+        ("missing", r"ckpt\.manifest: parameter out_proj is missing"),
+        ("misshaped", r"ckpt\.manifest: parameter attn_out has shape "
+                      r"\(8, 16\), the config needs \(16, 8\)"),
+        ("truncated", r"ckpt\.bin holds \d+ values, the config needs \d+"),
+    ])
+    def test_parameters_checked_against_config(self, task, tmp_path, edit,
+                                               message):
+        _, _, src_v, trg_v = task
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(make_model("baseline", src_v, trg_v), prefix)
+        manifest = tmp_path / "ckpt.manifest"
+        lines = manifest.read_text().splitlines()
+        if edit == "extra":
+            lines.append("param\textra_w\t2,2")
+        elif edit == "missing":
+            lines.remove(next(ln for ln in lines if "\tout_proj\t" in ln))
+        elif edit == "misshaped":
+            lines = [ln.replace("16,8", "8,16") if "\tattn_out\t" in ln
+                     else ln for ln in lines]
+        else:
+            blob = (tmp_path / "ckpt.bin").read_bytes()
+            (tmp_path / "ckpt.bin").write_bytes(blob[:-8])
+        manifest.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(prefix)
