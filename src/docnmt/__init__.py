@@ -15,7 +15,7 @@ from .evaluation import (bleu, bootstrap_significance, score_slots,
 from .model import (ModelConfig, TranslationModel, VARIANTS, load_checkpoint,
                     param_count, save_checkpoint)
 from .training import (TrainConfig, TrainLog, fine_tune_context,
-                       pretrain_baseline, select_best)
+                       pretrain_baseline)
 
 __version__ = "0.1.0"
 
@@ -28,6 +28,5 @@ __all__ = [
     "ModelConfig", "TranslationModel", "VARIANTS", "load_checkpoint",
     "param_count", "save_checkpoint",
     "TrainConfig", "TrainLog", "fine_tune_context", "pretrain_baseline",
-    "select_best",
     "__version__",
 ]

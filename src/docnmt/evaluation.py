@@ -165,8 +165,8 @@ def _translate_group(model, docs: Sequence[C.Document], src_vocab, trg_vocab,
                     else C.pad_rows(emitted)
                 prev.update(prev_trg_ids=ids, prev_trg_mask=mask)
                 if not target.separated:  # shared, so gold context here
-                    prev["prev_decoder_states"] = model.teacher_forced(
-                        enc, pos.trg_in, cache)[1]
+                    prev["prev_decoder_states"] = model.decoder_states(
+                        enc, pos.trg_in)
         for d in np.flatnonzero(active):
             hyps[d].append(trg_vocab.decode(emitted[d]))
     return hyps

@@ -138,7 +138,6 @@ class ContextCache:
 class StepResult:
     probs: T.Tensor            # (B, V)
     carry: list[tuple[T.Tensor, T.Tensor]]
-    h_tilde: T.Tensor          # (B, H)
     h_top: T.Tensor            # (B, H) top-layer decoder state
     alpha: Optional[T.Tensor]  # (B, M) current-sentence attention
     betas: list[T.Tensor]      # context attention weights per cache entry
@@ -213,7 +212,6 @@ class TranslationModel:
                rng: Optional[np.random.Generator] = None) -> EncoderStates:
         cfg = self.cfg
         half = cfg.hidden_dim // 2
-        b, m = src_ids.shape
         emb = T.embedding(self.params["src_emb"], src_ids)
         emb = self._dropout(emb, training, rng)
         layer_in = emb
@@ -223,8 +221,8 @@ class TranslationModel:
                                      half, reverse=False)
             bwd, hb, cb = self._scan(layer_in, src_mask, f"enc_l{layer}_bwd",
                                      half, reverse=True)
-            per_pos = [T.concat([fwd[t], bwd[t]], axis=-1) for t in range(m)]
-            layer_out = T.stack(per_pos, axis=1)  # (B, M, H)
+            layer_out = T.concat([T.stack(fwd, axis=1), T.stack(bwd, axis=1)],
+                                 axis=-1)  # (B, M, H)
             finals.append((T.concat([hf, hb], axis=-1),
                            T.concat([cf, cb], axis=-1)))
             layer_in = self._dropout(layer_out, training, rng) if layer == 1 \
@@ -243,7 +241,6 @@ class TranslationModel:
 
     def _context_scan(self, ids: np.ndarray, mask: np.ndarray, emb_table: str,
                       training: bool, rng) -> T.Tensor:
-        b, m = ids.shape
         emb = T.embedding(self.params[emb_table], ids)
         emb = self._dropout(emb, training, rng)
         layer_in = emb
@@ -298,14 +295,19 @@ class TranslationModel:
         """Decoder start state: the encoder's final per-layer states."""
         return [(h, c) for h, c in enc.finals]
 
-    def _step(self, x: T.Tensor, carry, enc: EncoderStates, cache: ContextCache,
-              training: bool, rng) -> StepResult:
+    def _recur(self, x: T.Tensor, carry, training: bool, rng):
+        """The two decoder LSTM layers; no input feeding, so no attention."""
         (h1, c1), (h2, c2) = carry
         h1, c1 = T.lstm_cell(x, h1, c1, self.params["dec_l1_wx"],
                              self.params["dec_l1_wh"], self.params["dec_l1_b"])
         mid = self._dropout(h1, training, rng)
         h2, c2 = T.lstm_cell(mid, h2, c2, self.params["dec_l2_wx"],
                              self.params["dec_l2_wh"], self.params["dec_l2_b"])
+        return [(h1, c1), (h2, c2)]
+
+    def _readout(self, h2: T.Tensor, enc: EncoderStates, cache: ContextCache
+                 ) -> tuple[T.Tensor, T.Tensor, list[T.Tensor]]:
+        """Attention over the sentence and its context: (h_tilde, alpha, betas)."""
         attn, alpha = T.dot_attention(enc.states, enc.mask, h2)
         pieces = [h2, attn]
         betas: list[T.Tensor] = []
@@ -314,8 +316,7 @@ class TranslationModel:
             pieces.append(ctx)
         h_tilde = T.tanh(T.matmul(T.concat(pieces, axis=-1),
                                   self.params["attn_out"]))
-        return StepResult(probs=None, carry=[(h1, c1), (h2, c2)],
-                          h_tilde=h_tilde, h_top=h2, alpha=alpha, betas=betas)
+        return h_tilde, alpha, betas
 
     def decode_step(self, y_prev: np.ndarray, carry, enc: EncoderStates,
                     cache: ContextCache, training: bool = False,
@@ -323,47 +324,54 @@ class TranslationModel:
         """One decoding step from the previous target token ids (B,)."""
         emb = T.embedding(self.params["trg_emb"], np.asarray(y_prev))
         emb = self._dropout(emb, training, rng)
-        result = self._step(emb, carry, enc, cache, training, rng)
-        logits = T.matmul(result.h_tilde, self.params["out_proj"])
-        result.probs = T.softmax(logits, axis=-1)
-        return result
+        carry = self._recur(emb, carry, training, rng)
+        h_top = carry[1][0]
+        h_tilde, alpha, betas = self._readout(h_top, enc, cache)
+        logits = T.matmul(h_tilde, self.params["out_proj"])
+        return StepResult(probs=T.softmax(logits, axis=-1), carry=carry,
+                          h_top=h_top, alpha=alpha, betas=betas)
 
-    def teacher_forced(self, enc: EncoderStates, trg_in: np.ndarray,
-                       cache: ContextCache, training: bool = False,
-                       rng: Optional[np.random.Generator] = None
-                       ) -> tuple[T.Tensor, T.Tensor]:
-        """Run the decoder over BOS + gold tokens `trg_in` (B, N+1).
-
-        Returns (h_tilde (B, N+1, H), decoder cache states (B, N, H)); the
-        cache state for token n is the top-layer state after consuming y_n.
-        """
+    def _recurrence(self, enc: EncoderStates, trg_in: np.ndarray,
+                    training: bool = False, rng=None):
+        """Yield the top-layer state after each token of `trg_in` (B, N+1),
+        one step per request, so a caller can interleave its readout."""
         emb = T.embedding(self.params["trg_emb"], trg_in)
         emb = self._dropout(emb, training, rng)
         carry = self.init_carry(enc)
-        h_tildes, h_tops = [], []
         for t in range(trg_in.shape[1]):
-            result = self._step(T.select(emb, 1, t), carry, enc, cache,
-                                training, rng)
-            carry = result.carry
-            h_tildes.append(result.h_tilde)
-            h_tops.append(result.h_top)
-        return T.stack(h_tildes, axis=1), T.stack(h_tops[1:], axis=1)
+            carry = self._recur(T.select(emb, 1, t), carry, training, rng)
+            yield carry[1][0]
+
+    def decoder_states(self, enc: EncoderStates, trg_in: np.ndarray
+                       ) -> T.Tensor:
+        """Decoder cache states (B, N, H) over BOS + gold tokens `trg_in`.
+
+        The state for token n is the top-layer state after consuming y_n;
+        only the recurrence runs, since the states do not read attention.
+        """
+        return T.stack(list(self._recurrence(enc, trg_in))[1:], axis=1)
 
     def forward_loss(self, pos, cache: ContextCache, training: bool = False,
                      rng: Optional[np.random.Generator] = None
                      ) -> tuple[T.Tensor, EncoderStates, T.Tensor, float]:
         """Teacher-forced mean NLL for one batch position.
 
-        Returns (loss, encoder states, decoder cache states (B,N,H), the
-        number of target tokens counted); see `teacher_forced`.
+        Returns (loss, encoder states, decoder cache states (B,N,H) as in
+        `decoder_states`, the number of target tokens counted).
         """
         full_mask = pos.out_mask * pos.active[:, None]
         if full_mask.sum() == 0:
             raise ValueError("forward_loss on a batch position with no active rows")
         enc = self.encode(pos.src, pos.src_mask * pos.active[:, None],
                           training, rng)
-        h_tilde, dec_states = self.teacher_forced(enc, pos.trg_in, cache,
-                                                  training, rng)
+        # each step's readout is recorded right after its recurrence, which
+        # fixes the order the gradients are summed in
+        h_tildes, h_tops = [], []
+        for h_top in self._recurrence(enc, pos.trg_in, training, rng):
+            h_tildes.append(self._readout(h_top, enc, cache)[0])
+            h_tops.append(h_top)
+        h_tilde = T.stack(h_tildes, axis=1)
+        dec_states = T.stack(h_tops[1:], axis=1)
         stacked = T.reshape(h_tilde, (-1, self.cfg.hidden_dim))
         logits = T.matmul(stacked, self.params["out_proj"])
         loss = T.cross_entropy(logits, pos.trg_out.reshape(-1),

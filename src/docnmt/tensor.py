@@ -1,10 +1,11 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
 numpy ndarrays hold the data.  Every op whose inputs are tracked appends
-one record to the active Graph: the output tensors plus a closure that
-pushes their gradients back to the inputs.  Records accumulate in
-execution order, so reverse iteration is a valid backward schedule and
-`backward` needs no graph search; it consumes the tape and clears it.
+one record to the tape, a module-level list: the op's output tensors plus
+a backward function that takes those outputs and pushes their gradients
+back to the inputs.  Records accumulate in execution order, so reverse
+iteration is a valid backward schedule and `backward` needs no graph
+search; it consumes the tape and clears it.
 
 The recurrent hot spots (LSTM step, masked dot attention, cross-entropy)
 are single fused records with hand-written backward passes; everything
@@ -37,10 +38,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class Tensor:
@@ -78,15 +75,9 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         """Constant copy, cut loose from the graph."""
         return Tensor(self.data.copy())
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
         """Add `g` into the gradient; `owned` marks arrays safe to adopt."""
@@ -101,69 +92,31 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # Light operator sugar; the module functions do the real work.
-    def __add__(self, other):
-        return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+# (output tensors, backward function taking those outputs), in forward order.
+# The tape and the tensors on it belong to one worker at a time.
+_tape: list[tuple[tuple[Tensor, ...], Callable[..., None]]] = []
 
 
-class Graph:
-    """Ordered record of executed operations.
-
-    Each node is (output tensors, backward closure), appended in forward
-    execution order.  A Graph and the tensors flowing through it belong to
-    one worker at a time.
-    """
-
-    def __init__(self):
-        self.nodes: list[tuple[tuple[Tensor, ...], Callable[[], None]]] = []
-
-    def __len__(self) -> int:
-        return len(self.nodes)
-
-    def clear(self) -> None:
-        self.nodes.clear()
-
-
-_graph = Graph()
-
-
-def active_graph() -> Graph:
-    return _graph
+def active_graph() -> list:
+    return _tape
 
 
 def backward(loss: Tensor, params: Optional[Iterable[Tensor]] = None) -> None:
-    """Backpropagate from a scalar loss through the recorded graph.
+    """Backpropagate from a scalar loss through the tape.
 
-    Consumes and clears the active graph.  When `params` is given, any
-    listed tensor the loss never touched gets an explicit zero gradient.
+    Consumes and clears the tape.  When `params` is given, any listed
+    tensor the loss never touched gets an explicit zero gradient.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
-    for outputs, fn in reversed(_graph.nodes):
+    for outputs, fn in reversed(_tape):
         for out in outputs:
             if out.grad is not None:
-                fn()
+                fn(*outputs)
                 break
-    _graph.clear()
+    _tape.clear()
     if params is not None:
         for p in params:
             if p.requires_grad and p.grad is None:
@@ -180,22 +133,16 @@ def _wrap(x, like: Tensor) -> Tensor:
     return Tensor(np.asarray(x, dtype=like.dtype))
 
 
-def _make(out_data: np.ndarray, parents: Sequence[Tensor],
-          backward_fn: Callable[[Tensor], Callable[[], None]]) -> Tensor:
-    out = Tensor(out_data)
+def _make(parents: Sequence[Tensor], backward_fn: Callable[..., None],
+          *outputs: np.ndarray):
+    """Wrap the output arrays; tape them with `backward_fn` if any parent is
+    tracked.  Returns one tensor, or a tuple for several outputs."""
+    outs = tuple(map(Tensor, outputs))
     if _grad_enabled and any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        _graph.nodes.append(((out,), backward_fn(out)))
-    return out
-
-
-def _make_pair(first: np.ndarray, second: np.ndarray, parents: Sequence[Tensor],
-               backward_fn) -> tuple[Tensor, Tensor]:
-    a, b = Tensor(first), Tensor(second)
-    if _grad_enabled and any(p.requires_grad for p in parents):
-        a.requires_grad = b.requires_grad = True
-        _graph.nodes.append(((a, b), backward_fn(a, b)))
-    return a, b
+        for out in outs:
+            out.requires_grad = True
+        _tape.append((outs, backward_fn))
+    return outs[0] if len(outs) == 1 else outs
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -217,45 +164,26 @@ def add(a: Tensor, b) -> Tensor:
     b = _wrap(b, a)
 
     def bw(out):
-        def fn():
-            g = out.grad
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(g, a.shape), owned=g.shape != a.shape)
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(g, b.shape), owned=g.shape != b.shape)
-        return fn
+        g = out.grad
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(g, a.shape), owned=g.shape != a.shape)
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(g, b.shape), owned=g.shape != b.shape)
 
-    return _make(a.data + b.data, (a, b), bw)
-
-
-def sub(a: Tensor, b) -> Tensor:
-    b = _wrap(b, a)
-
-    def bw(out):
-        def fn():
-            g = out.grad
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(g, a.shape), owned=g.shape != a.shape)
-            if b.requires_grad:
-                b.accumulate_grad(-_unbroadcast(g, b.shape), owned=True)
-        return fn
-
-    return _make(a.data - b.data, (a, b), bw)
+    return _make((a, b), bw, a.data + b.data)
 
 
 def mul(a: Tensor, b) -> Tensor:
     b = _wrap(b, a)
 
     def bw(out):
-        def fn():
-            g = out.grad
-            if a.requires_grad:
-                a.accumulate_grad(_unbroadcast(g * b.data, a.shape), owned=True)
-            if b.requires_grad:
-                b.accumulate_grad(_unbroadcast(g * a.data, b.shape), owned=True)
-        return fn
+        g = out.grad
+        if a.requires_grad:
+            a.accumulate_grad(_unbroadcast(g * b.data, a.shape), owned=True)
+        if b.requires_grad:
+            b.accumulate_grad(_unbroadcast(g * a.data, b.shape), owned=True)
 
-    return _make(a.data * b.data, (a, b), bw)
+    return _make((a, b), bw, a.data * b.data)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -263,42 +191,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError("matmul expects tensors with ndim >= 2")
 
     def bw(out):
-        def fn():
-            g = out.grad
-            if a.requires_grad:
-                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-                a.accumulate_grad(_unbroadcast(ga, a.shape), owned=True)
-            if b.requires_grad:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-                b.accumulate_grad(_unbroadcast(gb, b.shape), owned=True)
-        return fn
+        g = out.grad
+        if a.requires_grad:
+            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+            a.accumulate_grad(_unbroadcast(ga, a.shape), owned=True)
+        if b.requires_grad:
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            b.accumulate_grad(_unbroadcast(gb, b.shape), owned=True)
 
-    return _make(np.matmul(a.data, b.data), (a, b), bw)
+    return _make((a, b), bw, np.matmul(a.data, b.data))
 
 
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
 
     def bw(out):
-        def fn():
-            if x.requires_grad:
-                x.accumulate_grad((1.0 - t * t) * out.grad, owned=True)
-        return fn
+        x.accumulate_grad((1.0 - t * t) * out.grad, owned=True)
 
-    return _make(t, (x,), bw)
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    # 0.5*(1+tanh(x/2)) is stable for large |x|
-    s = 0.5 * (1.0 + np.tanh(0.5 * x.data))
-
-    def bw(out):
-        def fn():
-            if x.requires_grad:
-                x.accumulate_grad(s * (1.0 - s) * out.grad, owned=True)
-        return fn
-
-    return _make(s, (x,), bw)
+    return _make((x,), bw, t)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -310,125 +220,77 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     s = e / e.sum(axis=axis, keepdims=True)
 
     def bw(out):
-        def fn():
-            if x.requires_grad:
-                g = out.grad
-                dot = (g * s).sum(axis=axis, keepdims=True)
-                x.accumulate_grad(s * (g - dot), owned=True)
-        return fn
+        g = out.grad
+        dot = (g * s).sum(axis=axis, keepdims=True)
+        x.accumulate_grad(s * (g - dot), owned=True)
 
-    return _make(s, (x,), bw)
+    return _make((x,), bw, s)
 
 
 def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     def bw(out):
-        def fn():
-            if x.requires_grad:
-                g = out.grad
-                if axis is not None and not keepdims:
-                    g = np.expand_dims(g, axis)
-                x.accumulate_grad(np.broadcast_to(g, x.shape).copy(), owned=True)
-        return fn
+        g = out.grad
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        x.accumulate_grad(np.broadcast_to(g, x.shape).copy(), owned=True)
 
-    return _make(x.data.sum(axis=axis, keepdims=keepdims), (x,), bw)
+    return _make((x,), bw, x.data.sum(axis=axis, keepdims=keepdims))
 
 
 def mean(x: Tensor) -> Tensor:
-    n = x.size
-
     def bw(out):
-        def fn():
-            if x.requires_grad:
-                x.accumulate_grad(
-                    np.full(x.shape, out.grad / n, dtype=x.dtype), owned=True)
-        return fn
+        x.accumulate_grad(np.full(x.shape, out.grad / x.size, dtype=x.dtype),
+                          owned=True)
 
-    return _make(np.asarray(x.data.mean(), dtype=x.dtype), (x,), bw)
+    return _make((x,), bw, np.asarray(x.data.mean(), dtype=x.dtype))
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     tensors = list(tensors)
 
     def bw(out):
-        def fn():
-            g = out.grad
-            start = 0
-            for t in tensors:
-                width = t.shape[axis]
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(start, start + width)
-                if t.requires_grad:
-                    t.accumulate_grad(g[tuple(sl)])
-                start += width
-        return fn
+        g = out.grad
+        start = 0
+        for t in tensors:
+            width = t.shape[axis]
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(start, start + width)
+            if t.requires_grad:
+                t.accumulate_grad(g[tuple(sl)])
+            start += width
 
-    return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, bw)
+    return _make(tensors, bw, np.concatenate([t.data for t in tensors], axis=axis))
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     tensors = list(tensors)
 
     def bw(out):
-        def fn():
-            g = out.grad
-            for i, t in enumerate(tensors):
-                if t.requires_grad:
-                    t.accumulate_grad(np.take(g, i, axis=axis), owned=True)
-        return fn
+        for i, t in enumerate(tensors):
+            if t.requires_grad:
+                t.accumulate_grad(np.take(out.grad, i, axis=axis), owned=True)
 
-    return _make(np.stack([t.data for t in tensors], axis=axis), tensors, bw)
-
-
-def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
-    sl = [slice(None)] * x.ndim
-    sl[axis] = slice(start, start + length)
-    sl = tuple(sl)
-
-    def bw(out):
-        def fn():
-            if x.requires_grad:
-                if x.grad is None:
-                    x.grad = np.zeros_like(x.data)
-                x.grad[sl] += out.grad
-        return fn
-
-    return _make(x.data[sl], (x,), bw)
+    return _make(tensors, bw, np.stack([t.data for t in tensors], axis=axis))
 
 
 def select(x: Tensor, axis: int, index: int) -> Tensor:
     """Pick one slice along `axis`, dropping that axis."""
 
     def bw(out):
-        def fn():
-            if x.requires_grad:
-                if x.grad is None:
-                    x.grad = np.zeros_like(x.data)
-                sl = [slice(None)] * x.ndim
-                sl[axis] = index
-                x.grad[tuple(sl)] += out.grad
-        return fn
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        sl = [slice(None)] * x.ndim
+        sl[axis] = index
+        x.grad[tuple(sl)] += out.grad
 
-    return _make(np.take(x.data, index, axis=axis), (x,), bw)
+    return _make((x,), bw, np.take(x.data, index, axis=axis))
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     def bw(out):
-        def fn():
-            if x.requires_grad:
-                x.accumulate_grad(out.grad.reshape(x.shape))
-        return fn
+        x.accumulate_grad(out.grad.reshape(x.shape))
 
-    return _make(x.data.reshape(shape), (x,), bw)
-
-
-def swapaxes(x: Tensor, a: int, b: int) -> Tensor:
-    def bw(out):
-        def fn():
-            if x.requires_grad:
-                x.accumulate_grad(np.swapaxes(out.grad, a, b))
-        return fn
-
-    return _make(np.swapaxes(x.data, a, b), (x,), bw)
+    return _make((x,), bw, x.data.reshape(shape))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -436,15 +298,12 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
 
     def bw(out):
-        def fn():
-            if table.requires_grad:
-                if table.grad is None:
-                    table.grad = np.zeros_like(table.data)
-                flat = out.grad.reshape(-1, table.shape[1])
-                np.add.at(table.grad, ids.ravel(), flat)
-        return fn
+        if table.grad is None:
+            table.grad = np.zeros_like(table.data)
+        flat = out.grad.reshape(-1, table.shape[1])
+        np.add.at(table.grad, ids.ravel(), flat)
 
-    return _make(table.data[ids], (table,), bw)
+    return _make((table,), bw, table.data[ids])
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
@@ -456,12 +315,9 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
     mask = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
 
     def bw(out):
-        def fn():
-            if x.requires_grad:
-                x.accumulate_grad(mask * out.grad, owned=True)
-        return fn
+        x.accumulate_grad(mask * out.grad, owned=True)
 
-    return _make(x.data * mask, (x,), bw)
+    return _make((x,), bw, x.data * mask)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,
@@ -490,15 +346,12 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
     value = np.asarray(nll.sum() / denom, dtype=logits.dtype)
 
     def bw(out):
-        def fn():
-            if logits.requires_grad:
-                probs = np.exp(logp)
-                probs[np.arange(n), targets] -= 1.0
-                probs *= (mask / denom)[:, None]
-                logits.accumulate_grad(probs * out.grad, owned=True)
-        return fn
+        probs = np.exp(logp)
+        probs[np.arange(n), targets] -= 1.0
+        probs *= (mask / denom)[:, None]
+        logits.accumulate_grad(probs * out.grad, owned=True)
 
-    return _make(value, (logits,), bw)
+    return _make((logits,), bw, value)
 
 
 # ---------------------------------------------------------------------------
@@ -532,47 +385,39 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
         h_data = mask * h_raw + (1.0 - mask) * h_prev.data
         c_data = mask * c_raw + (1.0 - mask) * c_prev.data
 
-    c_prev_data = c_prev.data
-    x_data = x.data
-    h_prev_data = h_prev.data
-
     def bw(h_out, c_out):
-        def fn():
-            gh = h_out.grad
-            gc = c_out.grad
-            zero = np.zeros_like(h_raw)
-            gh = zero if gh is None else gh
-            gc = zero if gc is None else gc
-            if mask is None:
-                gh_raw, gc_raw = gh, gc
-            else:
-                gh_raw, gc_raw = gh * mask, gc * mask
-                if h_prev.requires_grad:
-                    h_prev.accumulate_grad(gh * (1.0 - mask), owned=True)
-                if c_prev.requires_grad:
-                    c_prev.accumulate_grad(gc * (1.0 - mask), owned=True)
-            go = gh_raw * tc
-            gc_total = gc_raw + gh_raw * o * (1.0 - tc * tc)
-            gz = np.empty_like(z)
-            gz[:, :hidden] = gc_total * g * i * (1.0 - i)
-            gz[:, hidden:2 * hidden] = gc_total * c_prev_data * f * (1.0 - f)
-            gz[:, 2 * hidden:3 * hidden] = gc_total * i * (1.0 - g * g)
-            gz[:, 3 * hidden:] = go * o * (1.0 - o)
-            if x.requires_grad:
-                x.accumulate_grad(gz @ w_x.data.T, owned=True)
+        zero = np.zeros_like(h_raw)
+        gh = zero if h_out.grad is None else h_out.grad
+        gc = zero if c_out.grad is None else c_out.grad
+        if mask is None:
+            gh_raw, gc_raw = gh, gc
+        else:
+            gh_raw, gc_raw = gh * mask, gc * mask
             if h_prev.requires_grad:
-                h_prev.accumulate_grad(gz @ w_h.data.T, owned=True)
+                h_prev.accumulate_grad(gh * (1.0 - mask), owned=True)
             if c_prev.requires_grad:
-                c_prev.accumulate_grad(gc_total * f, owned=True)
-            if w_x.requires_grad:
-                w_x.accumulate_grad(x_data.T @ gz, owned=True)
-            if w_h.requires_grad:
-                w_h.accumulate_grad(h_prev_data.T @ gz, owned=True)
-            if b.requires_grad:
-                b.accumulate_grad(gz.sum(axis=0), owned=True)
-        return fn
+                c_prev.accumulate_grad(gc * (1.0 - mask), owned=True)
+        go = gh_raw * tc
+        gc_total = gc_raw + gh_raw * o * (1.0 - tc * tc)
+        gz = np.empty_like(z)
+        gz[:, :hidden] = gc_total * g * i * (1.0 - i)
+        gz[:, hidden:2 * hidden] = gc_total * c_prev.data * f * (1.0 - f)
+        gz[:, 2 * hidden:3 * hidden] = gc_total * i * (1.0 - g * g)
+        gz[:, 3 * hidden:] = go * o * (1.0 - o)
+        if x.requires_grad:
+            x.accumulate_grad(gz @ w_x.data.T, owned=True)
+        if h_prev.requires_grad:
+            h_prev.accumulate_grad(gz @ w_h.data.T, owned=True)
+        if c_prev.requires_grad:
+            c_prev.accumulate_grad(gc_total * f, owned=True)
+        if w_x.requires_grad:
+            w_x.accumulate_grad(x.data.T @ gz, owned=True)
+        if w_h.requires_grad:
+            w_h.accumulate_grad(h_prev.data.T @ gz, owned=True)
+        if b.requires_grad:
+            b.accumulate_grad(gz.sum(axis=0), owned=True)
 
-    return _make_pair(h_data, c_data, (x, h_prev, c_prev, w_x, w_h, b), bw)
+    return _make((x, h_prev, c_prev, w_x, w_h, b), bw, h_data, c_data)
 
 
 def dot_attention(states: Tensor, mask: np.ndarray, query: Tensor
@@ -582,7 +427,6 @@ def dot_attention(states: Tensor, mask: np.ndarray, query: Tensor
     Returns (mixture (B,H), weights (B,M)).  Weights are zero exactly on
     masked positions and sum to 1 over the unmasked ones.
     """
-    b, m, hidden = states.shape
     scores = np.matmul(states.data, query.data[:, :, None])[:, :, 0]
     if np.isnan(scores).any():
         raise ValueError("attention scores contain NaN")
@@ -592,28 +436,23 @@ def dot_attention(states: Tensor, mask: np.ndarray, query: Tensor
     w = e / e.sum(axis=1, keepdims=True)
     mixed = np.matmul(w[:, None, :], states.data)[:, 0, :]
 
-    states_data = states.data
-    query_data = query.data
-
     def bw(mix_out, w_out):
-        def fn():
-            gmix = mix_out.grad
-            gw = np.matmul(states_data, gmix[:, :, None])[:, :, 0] \
-                if gmix is not None else np.zeros_like(w)
-            if w_out.grad is not None:
-                gw = gw + w_out.grad
-            gscores = w * (gw - (gw * w).sum(axis=1, keepdims=True))
-            if states.requires_grad:
-                gstates = w[:, :, None] * (gmix[:, None, :] if gmix is not None
-                                           else 0.0)
-                gstates += gscores[:, :, None] * query_data[:, None, :]
-                states.accumulate_grad(gstates, owned=True)
-            if query.requires_grad:
-                gq = np.matmul(gscores[:, None, :], states_data)[:, 0, :]
-                query.accumulate_grad(gq, owned=True)
-        return fn
+        gmix = mix_out.grad
+        gw = np.matmul(states.data, gmix[:, :, None])[:, :, 0] \
+            if gmix is not None else np.zeros_like(w)
+        if w_out.grad is not None:
+            gw = gw + w_out.grad
+        gscores = w * (gw - (gw * w).sum(axis=1, keepdims=True))
+        if states.requires_grad:
+            gstates = gscores[:, :, None] * query.data[:, None, :]
+            if gmix is not None:
+                gstates += w[:, :, None] * gmix[:, None, :]
+            states.accumulate_grad(gstates, owned=True)
+        if query.requires_grad:
+            gq = np.matmul(gscores[:, None, :], states.data)[:, 0, :]
+            query.accumulate_grad(gq, owned=True)
 
-    return _make_pair(mixed, w, (states, query), bw)
+    return _make((states, query), bw, mixed, w)
 
 
 # ---------------------------------------------------------------------------

@@ -83,13 +83,6 @@ class TrainLog:
         return cls(records)
 
 
-def select_best(log: TrainLog, checkpoints: Sequence) -> object:
-    """Checkpoint of the best dev-BLEU epoch (earliest on ties)."""
-    if len(checkpoints) != len(log.records):
-        raise ValueError("one checkpoint per logged epoch required")
-    return checkpoints[log.best_epoch - 1]
-
-
 def _dev_bleu(model, dev_docs, src_vocab, trg_vocab) -> float:
     """Greedy-decode the dev set and score BLEU on de-segmented text.
 
@@ -123,8 +116,7 @@ def train_model(model: TranslationModel, train_docs: Sequence[C.Document],
     shuffle_rng = T.make_rng(cfg.seed, 1)
     dropout_rng = T.make_rng(cfg.seed, 2)
     log = TrainLog()
-    best_params: Optional[dict[str, np.ndarray]] = None
-    best_bleu = -1.0
+    best_params: dict[str, np.ndarray] = {}
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
         batches = C.make_batches(train_docs, src_vocab, trg_vocab,
@@ -166,10 +158,8 @@ def train_model(model: TranslationModel, train_docs: Sequence[C.Document],
         log.records.append(EpochRecord(
             epoch, epoch_nll / max(epoch_tokens, 1.0), dev,
             time.perf_counter() - started))
-        if dev > best_bleu:
-            best_bleu = dev
+        if log.best_epoch == epoch:
             best_params = {n: p.data.copy() for n, p in model.params.items()}
-    assert best_params is not None
     best = TranslationModel(
         model.cfg,
         params={n: T.Tensor(a, requires_grad=True) for n, a in best_params.items()},

@@ -75,35 +75,40 @@ def _lstm_chain(rng):
     return [w_x, w_h, b], forward
 
 
-def _concat_slice(rng):
+def _concat_stack_select(rng):
     a = _param(rng, 3, 4)
     b = _param(rng, 3, 2)
-    c = T.Tensor(rng.normal(size=(3, 3)), dtype=np.float64)
+    c = T.Tensor(rng.normal(size=(6, 3)), dtype=np.float64)
 
     def forward():
-        joined = T.concat([T.sigmoid(a), b], axis=1)
-        piece = T.narrow(joined, 1, 1, 3)
-        return T.mean(T.mul(piece, c))
+        joined = T.concat([T.tanh(a), b], axis=1)
+        # row 2 is selected twice, so its gradient accumulates; row 1 gets none
+        rows = T.stack([T.select(joined, 0, i) for i in (2, 0, 2)], axis=1)
+        return T.mean(T.mul(rows, c))
 
     return [a, b], forward
 
 
-def _attention_shaped(rng):
-    keys = _param(rng, 4, 3)
-    query = _param(rng, 1, 3)
-    values = T.Tensor(rng.normal(size=(4, 2)), dtype=np.float64)
+def _masked_attention(rng):
+    states = _param(rng, 2, 4, 3)
+    query = _param(rng, 2, 3)
+    mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+    c = T.Tensor(rng.normal(size=(2, 4)), dtype=np.float64)
 
     def forward():
-        scores = T.matmul(keys, T.swapaxes(query, 0, 1))
-        weights = T.softmax(T.reshape(scores, (1, 4)), axis=-1)
-        mix = T.matmul(weights, values)
-        return T.reduce_sum(T.tanh(mix))
+        # the first attention's loss reads its mixture and its weights, the
+        # second's only its weights
+        mixed, weights = T.dot_attention(states, mask, query)
+        _, weights_only = T.dot_attention(states, mask, T.tanh(query))
+        loss = T.add(T.reduce_sum(T.tanh(mixed)),
+                     T.reduce_sum(T.mul(weights, c)))
+        return T.add(loss, T.reduce_sum(T.mul(weights_only, weights_only)))
 
-    return [keys, query], forward
+    return [states, query], forward
 
 
 FAMILIES = [_affine_tanh, _softmax_pipeline, _embedding_loss, _lstm_chain,
-            _concat_slice, _attention_shaped]
+            _concat_stack_select, _masked_attention]
 
 
 def build_minigraph(seed):

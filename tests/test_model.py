@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from docnmt import bpe as B
 from docnmt import corpus as C
@@ -252,6 +256,18 @@ class TestDecodeStep:
                 np.testing.assert_allclose(res.probs.data, base.probs.data,
                                            atol=1e-6)
 
+    def test_decoder_states_match_forward_loss_bitwise(self, task):
+        # the probe's recurrence alone gives the states the full pass saves
+        _, batch, src_v, trg_v = task
+        model = make_model("shared-mix", src_v, trg_v, seed=8)
+        pos = batch.positions[1]
+        cache = position_cache(model, batch, 1)
+        with T.no_grad():
+            _, enc, want, _ = model.forward_loss(pos, cache)
+            got = model.decoder_states(enc, pos.trg_in)
+        assert got.shape == (pos.trg.shape[0], pos.trg.shape[1], 8)
+        assert got.data.tobytes() == want.data.tobytes()
+
 
 class TestForwardLoss:
     def test_uniform_model_loss_is_log_vocab(self, task):
@@ -429,15 +445,30 @@ class TestGradients:
 
 
 class TestCheckpoint:
-    def test_round_trip(self, task, tmp_path):
-        _, _, src_v, trg_v = task
-        model = make_model("separated-target", src_v, trg_v, seed=21)
-        prefix = str(tmp_path / "ckpt")
-        save_checkpoint(model, prefix)
-        loaded = load_checkpoint(prefix)
-        assert loaded.cfg == model.cfg
+    @settings(max_examples=100, deadline=None)
+    @given(variant=st.sampled_from(VARIANTS), emb=st.integers(1, 5),
+           half=st.integers(1, 4), src_vocab=st.integers(4, 12),
+           trg_vocab=st.integers(4, 12), dropout=st.floats(0.0, 0.9),
+           seed=st.integers(0, 2**32 - 1))
+    def test_round_trip(self, variant, emb, half, src_vocab, trg_vocab,
+                        dropout, seed):
+        # bitwise, for every variant at small random dimensions
+        cfg = ModelConfig(variant, emb, 2 * half, src_vocab, trg_vocab,
+                          dropout=dropout)
+        model = TranslationModel(cfg, rng=T.make_rng(seed, 0))
+        rng = np.random.default_rng(seed)
+        for p in model.param_list():  # any float32 bit pattern, NaNs too
+            p.data[...] = rng.integers(0, 2**32, size=p.shape,
+                                       dtype=np.uint32).view(np.float32)
+        with tempfile.TemporaryDirectory() as tmp:
+            prefix = str(Path(tmp) / "ckpt")
+            save_checkpoint(model, prefix)
+            loaded = load_checkpoint(prefix)
+        assert loaded.cfg == cfg
+        assert list(loaded.params) == list(model.params)
         for name, p in model.params.items():
-            np.testing.assert_array_equal(loaded.params[name].data, p.data)
+            assert loaded.params[name].data.dtype == np.float32
+            assert loaded.params[name].data.tobytes() == p.data.tobytes()
 
     def test_resave_is_byte_identical(self, task, tmp_path):
         _, _, src_v, trg_v = task

@@ -38,27 +38,40 @@ class TestTrainConfig:
 
 
 class TestSelectBest:
+    """`TrainLog.best_epoch` is the one rule `train_model` snapshots by."""
+
     def _log(self, scores):
         return TR.TrainLog([TR.EpochRecord(i + 1, 1.0, s, 0.1)
                             for i, s in enumerate(scores)])
 
     def test_monotone_improving_takes_last(self):
-        log = self._log([1.0, 2.0, 3.0])
-        assert TR.select_best(log, ["a", "b", "c"]) == "c"
+        assert self._log([1.0, 2.0, 3.0]).best_epoch == 3
 
     def test_single_epoch(self):
-        log = self._log([5.0])
-        assert TR.select_best(log, ["only"]) == "only"
+        assert self._log([5.0]).best_epoch == 1
 
     def test_tie_takes_earliest(self):
-        log = self._log([10.0, 12.0, 12.0])
-        assert log.best_epoch == 2
-        assert TR.select_best(log, ["a", "b", "c"]) == "b"
+        assert self._log([10.0, 12.0, 12.0]).best_epoch == 2
 
-    def test_checkpoint_count_must_match(self):
-        log = self._log([1.0, 2.0])
-        with pytest.raises(ValueError):
-            TR.select_best(log, ["a"])
+    def test_train_model_returns_the_best_epoch(self, synth_setup,
+                                                monkeypatch):
+        seg, src_v, trg_v = synth_setup
+        scores, seen = iter([1.0, 3.0, 3.0, 2.0]), []
+
+        def fake_dev_bleu(model, *args):
+            seen.append({n: p.data.copy() for n, p in model.params.items()})
+            return next(scores)
+
+        monkeypatch.setattr(TR, "_dev_bleu", fake_dev_bleu)
+        model = TranslationModel(
+            ModelConfig("baseline", 8, 8, len(src_v), len(trg_v)),
+            rng=T.make_rng(0, 0))
+        best, log = TR.train_model(model, seg, seg, src_v, trg_v,
+                                   TR.TrainConfig(epochs=4, lr=0.1, seed=3))
+        assert log.best_epoch == 2
+        for name, p in best.params.items():
+            np.testing.assert_array_equal(p.data, seen[1][name])
+            assert not np.array_equal(p.data, seen[3][name])
 
 
 class TestTrainLogFile:
