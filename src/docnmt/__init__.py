@@ -11,7 +11,7 @@ from .corpus import (Document, SynthConfig, filter_documents,
                      generate_synthetic, load_documents, make_batches,
                      save_documents)
 from .evaluation import (bleu, bootstrap_significance, score_slots,
-                         translate_corpus, translate_document)
+                         translate_corpus)
 from .model import (ModelConfig, TranslationModel, VARIANTS, load_checkpoint,
                     param_count, save_checkpoint)
 from .training import (TrainConfig, TrainLog, fine_tune_context,
@@ -24,7 +24,6 @@ __all__ = [
     "Document", "SynthConfig", "filter_documents", "generate_synthetic",
     "load_documents", "make_batches", "save_documents",
     "bleu", "bootstrap_significance", "score_slots", "translate_corpus",
-    "translate_document",
     "ModelConfig", "TranslationModel", "VARIANTS", "load_checkpoint",
     "param_count", "save_checkpoint",
     "TrainConfig", "TrainLog", "fine_tune_context", "pretrain_baseline",

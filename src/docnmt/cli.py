@@ -109,7 +109,22 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _reject_bpe_marker(path) -> None:
+    """Raise on a raw token ending in the BPE marker: de-segmenting would
+    glue it to the next token, or drop it."""
+    with open(path, encoding="utf-8") as f:
+        for number, line in enumerate(f, 1):
+            for token in line.split():
+                if token.endswith(B.CONT):
+                    raise ValueError(f"{path}, line {number}: token {token!r} "
+                                     f"ends in the BPE marker {B.CONT!r}")
+
+
 def cmd_preprocess(args) -> int:
+    for path in (args.train_src, args.train_trg, args.dev_src, args.dev_trg,
+                 args.test_src, args.test_trg):
+        if path:
+            _reject_bpe_marker(path)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     docs = C.load_documents(args.train_src, args.train_trg)

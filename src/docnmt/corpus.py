@@ -173,13 +173,7 @@ class BatchPosition:
 
 @dataclass
 class DocumentBatch:
-    doc_ids: list[str]
-    lengths: list[int]
     positions: list[BatchPosition]
-
-    @property
-    def num_docs(self) -> int:
-        return len(self.doc_ids)
 
 
 def pad_rows(rows: Sequence, width: Optional[int] = None
@@ -227,23 +221,19 @@ def build_batch(docs: Sequence[Document], src_vocab: B.Vocabulary,
             trg_in=trg_in, trg_out=trg_out, out_mask=out_mask,
             active=np.asarray(active, dtype=np.float32),
         ))
-    return DocumentBatch(doc_ids=[d.doc_id for d in docs],
-                         lengths=[len(d) for d in docs],
-                         positions=positions)
+    return DocumentBatch(positions=positions)
 
 
 def make_batches(docs: Sequence[Document], src_vocab: B.Vocabulary,
                  trg_vocab: B.Vocabulary, max_docs: int = 128,
-                 rng: Optional[np.random.Generator] = None,
-                 shuffle: bool = True) -> list[DocumentBatch]:
+                 rng: Optional[np.random.Generator] = None
+                 ) -> list[DocumentBatch]:
     """Shuffle documents, then group them into batches of at most max_docs."""
     if not docs:
         raise ValueError("make_batches requires a non-empty document list")
-    order = list(range(len(docs)))
-    if shuffle:
-        if rng is None:
-            raise ValueError("shuffling requires an rng")
-        order = list(rng.permutation(len(docs)))
+    if rng is None:
+        raise ValueError("shuffling requires an rng")
+    order = list(rng.permutation(len(docs)))
     batches = []
     for start in range(0, len(order), max_docs):
         group = [docs[j] for j in order[start:start + max_docs]]

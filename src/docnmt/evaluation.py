@@ -13,7 +13,7 @@ first-sentence output).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -24,10 +24,10 @@ from . import bpe as B
 from . import corpus as C
 from . import tensor as T
 from .bpe import Vocabulary
-from .model import (CONTEXTS, ContextCache, ContextEntry, EncoderStates,
-                    TranslationModel)
+from .model import CONTEXTS, EncoderStates, Previous, TranslationModel
 
 debpe = B.remove_bpe
+MAX_RATIO = 2.0  # a hypothesis ends by this many times its source length
 
 
 @dataclass
@@ -38,16 +38,17 @@ class TranslationStats:
     teacher_forced: int = 0      # decoder states recomputed over gold text
     context_recomputes: int = 0  # the separated context LSTM
 
-    def count(self, entry: ContextEntry, gold_context: bool, n: int) -> None:
-        if entry.separated:
+    def count(self, name: str, gold_context: bool, n: int) -> None:
+        """Count n sentences reading the `Previous` field `name`."""
+        if name in ("src", "trg"):
             self.context_recomputes += n
-        elif entry.side == "target" and gold_context:
+        elif name == "dec" and gold_context:
             self.teacher_forced += n
         else:
             self.cache_reuses += n
 
 
-def _beam_search(model, enc: EncoderStates, cache: ContextCache,
+def _beam_search(model, enc: EncoderStates, context,
                  beam_size: int, limits: np.ndarray,
                  keep_states: bool):
     """Beam search over every row of `enc` at once; beam size 1 is greedy.
@@ -65,8 +66,7 @@ def _beam_search(model, enc: EncoderStates, cache: ContextCache,
             return T.Tensor(np.repeat(x.data, k, axis=0))
         enc = EncoderStates(widen(enc.states), np.repeat(enc.mask, k, axis=0),
                             [(widen(h), widen(c)) for h, c in enc.finals])
-        cache = ContextCache([(widen(s), np.repeat(m, k, axis=0))
-                              for s, m in cache.entries])
+        context = [(widen(s), np.repeat(m, k, axis=0)) for s, m in context]
     score = np.full((n, k), -np.inf)
     score[limits >= 0, 0] = 0.0
     carry, y = model.init_carry(enc), np.full(n * k, B.BOS, dtype=np.int64)
@@ -83,7 +83,7 @@ def _beam_search(model, enc: EncoderStates, cache: ContextCache,
     upper = np.tri(2 * k, 2 * k, -1).T  # counts a row's earlier candidates
     ended: list[list[tuple]] = [[] for _ in range(n)]
     while score.max() > -np.inf:
-        res = model.decode_step(y, carry, enc, cache)
+        res = model.decode_step(y, carry, enc, context)
         if keep_states and toks.shape[1]:
             states = np.concatenate([states, res.h_top.data[:, None]], axis=1)
         # each beam's `width` most probable tokens in argmax order, lowest id
@@ -133,40 +133,37 @@ def _beam_search(model, enc: EncoderStates, cache: ContextCache,
 
 
 def _translate_group(model, docs: Sequence[C.Document], src_vocab, trg_vocab,
-                     beam_size: int, max_ratio: float, gold_context: bool,
+                     beam_size: int, gold_context: bool,
                      stats: TranslationStats) -> list[list[list[str]]]:
-    entries = CONTEXTS[model.cfg.variant]
-    target = next((e for e in entries if e.side == "target"), None)
-    keep_states = target == ContextEntry("target", False) and not gold_context
+    reads = CONTEXTS[model.cfg.variant]
+    keep_states = "dec" in reads and not gold_context
     hyps: list[list[list[str]]] = [[] for _ in docs]
-    prev: dict = {}
+    prev = None
     batch = C.build_batch(docs, src_vocab, trg_vocab)
     for i, pos in enumerate(batch.positions):
         active = pos.active > 0
         n_src = pos.src_mask.sum(axis=1).astype(np.int64)
-        limits = np.where(active, np.ceil(max_ratio * n_src),
+        limits = np.where(active, np.ceil(MAX_RATIO * n_src),
                           -1).astype(np.int64)
         with T.no_grad():
             enc = model.encode(pos.src, pos.src_mask)
-            cache = model.context_states(**prev)
-            for entry in entries if i else ():
-                stats.count(entry, gold_context, int(active.sum()))
-            emitted, states = _beam_search(model, enc, cache, beam_size,
+            context = model.context_states(prev)
+            for name in reads if i else ():
+                stats.count(name, gold_context, int(active.sum()))
+            emitted, states = _beam_search(model, enc, context, beam_size,
                                            limits, keep_states)
             # what sentence i leaves for i + 1 (target side: only what is read)
-            prev = dict(prev_src_ids=pos.src, prev_src_mask=pos.src_mask,
-                        prev_encoder=enc)
-            if keep_states:
-                dec, mask = C.pad_rows(states)
-                prev.update(prev_decoder_states=T.Tensor(dec),
-                            prev_trg_mask=mask)
-            elif target:
-                ids, mask = (pos.trg, pos.trg_mask) if gold_context \
+            trg = dec = None
+            if "trg" in reads:
+                trg = (pos.trg, pos.trg_mask) if gold_context \
                     else C.pad_rows(emitted)
-                prev.update(prev_trg_ids=ids, prev_trg_mask=mask)
-                if not target.separated:  # shared, so gold context here
-                    prev["prev_decoder_states"] = model.decoder_states(
-                        enc, pos.trg_in)
+            if keep_states:
+                states, mask = C.pad_rows(states)
+                dec = (T.Tensor(states), mask)
+            elif "dec" in reads:
+                dec = (model.decoder_states(enc, pos.trg_in), pos.trg_mask)
+            prev = Previous(src=(pos.src, pos.src_mask),
+                            enc=(enc.states, enc.mask), trg=trg, dec=dec)
         for d in np.flatnonzero(active):
             hyps[d].append(trg_vocab.decode(emitted[d]))
     return hyps
@@ -174,8 +171,8 @@ def _translate_group(model, docs: Sequence[C.Document], src_vocab, trg_vocab,
 
 def translate_corpus(model: TranslationModel, docs: Sequence[C.Document],
                      src_vocab: Vocabulary, trg_vocab: Vocabulary,
-                     beam_size: int = 1, max_ratio: float = 2.0,
-                     gold_context: bool = False, batch_docs: int = 64
+                     beam_size: int = 1, gold_context: bool = False,
+                     batch_docs: int = 64
                      ) -> tuple[list[list[list[str]]], TranslationStats]:
     """Translate documents in order; returns subword-token hypotheses."""
     if beam_size < 1:
@@ -185,20 +182,8 @@ def translate_corpus(model: TranslationModel, docs: Sequence[C.Document],
     for start in range(0, len(docs), batch_docs):
         hyps.extend(_translate_group(model, docs[start:start + batch_docs],
                                      src_vocab, trg_vocab, beam_size,
-                                     max_ratio, gold_context, stats))
+                                     gold_context, stats))
     return hyps, stats
-
-
-def translate_document(model: TranslationModel, doc: C.Document,
-                       src_vocab: Vocabulary, trg_vocab: Vocabulary,
-                       beam_size: int = 1, max_ratio: float = 2.0,
-                       gold_context: bool = False
-                       ) -> tuple[list[list[str]], TranslationStats]:
-    """Translate one document sentence by sentence."""
-    hyps, stats = translate_corpus(model, [doc], src_vocab, trg_vocab,
-                                   beam_size=beam_size, max_ratio=max_ratio,
-                                   gold_context=gold_context)
-    return hyps[0], stats
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +323,6 @@ class SlotReport:
     n_slots: int
     self_consistency: float    # agreement with the model's own sentence-1 pick
     n_consistency_slots: int
-    per_system_choice: dict = field(default_factory=dict)
 
     def records(self) -> str:
         return (f"slot_accuracy={self.slot_accuracy:.4f}\n"
@@ -367,7 +351,6 @@ def score_slots(hyp_docs: Sequence[Sequence[Sequence[str]]],
         raise ValueError("hypothesis documents and metadata must align")
     correct = total = 0
     cons_correct = cons_total = 0
-    choices: Counter = Counter()
     for hyp_doc, meta in zip(hyp_docs, metas):
         anchor = _first_synonym(hyp_doc[0]) if hyp_doc else None
         for slot in meta.slot_indices:
@@ -375,7 +358,6 @@ def score_slots(hyp_docs: Sequence[Sequence[Sequence[str]]],
                 total += 1
                 continue
             got = _first_synonym(hyp_doc[slot])
-            choices[got] += 1
             total += 1
             if got == meta.choice:
                 correct += 1
@@ -387,5 +369,4 @@ def score_slots(hyp_docs: Sequence[Sequence[Sequence[str]]],
         slot_accuracy=correct / total if total else 0.0,
         n_slots=total,
         self_consistency=cons_correct / cons_total if cons_total else 0.0,
-        n_consistency_slots=cons_total,
-        per_system_choice=dict(choices))
+        n_consistency_slots=cons_total)

@@ -12,7 +12,7 @@ the context variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -21,22 +21,33 @@ import numpy as np
 from . import tensor as T
 
 
-class ContextEntry(NamedTuple):
-    """One previous-sentence memory that context attention reads."""
+class Previous(NamedTuple):
+    """What one sentence leaves for the next, per document row.
 
-    side: str         # "source" or "target": which previous sentence
-    separated: bool   # run the context LSTM over it, not reuse saved states
+    Each field is a (values, mask) pair, or None when nothing being run
+    reads it: `src` the source ids, `enc` the encoder states, `trg` the
+    target ids, `dec` the top-layer decoder state after each of those
+    target tokens was fed back.
+    """
+
+    src: Optional[tuple[np.ndarray, np.ndarray]] = None
+    enc: Optional[tuple[T.Tensor, np.ndarray]] = None
+    trg: Optional[tuple[np.ndarray, np.ndarray]] = None
+    dec: Optional[tuple[T.Tensor, np.ndarray]] = None
 
 
-# Where each variant's context comes from; everything variant-specific
-# (parameters, training, decoding, decode counters) reads this table.
-CONTEXTS: dict[str, tuple[ContextEntry, ...]] = {
+# Where each variant's context comes from: the `Previous` fields its
+# context attention reads.  Separated variants read `src` or `trg` through
+# the context LSTM; shared ones reuse the saved `enc` or `dec` states.
+# Everything variant-specific (parameters, training, decoding, decode
+# counters) reads this table.
+CONTEXTS: dict[str, tuple[str, ...]] = {
     "baseline": (),
-    "separated-source": (ContextEntry("source", True),),
-    "separated-target": (ContextEntry("target", True),),
-    "shared-source": (ContextEntry("source", False),),
-    "shared-target": (ContextEntry("target", False),),
-    "shared-mix": (ContextEntry("source", False), ContextEntry("target", False)),
+    "separated-source": ("src",),
+    "separated-target": ("trg",),
+    "shared-source": ("enc",),
+    "shared-target": ("dec",),
+    "shared-mix": ("enc", "dec"),
 }
 VARIANTS = tuple(CONTEXTS)
 
@@ -50,7 +61,6 @@ class ModelConfig:
     hidden_dim: int
     src_vocab_size: int
     trg_vocab_size: int
-    layers: int = 2
     dropout: float = 0.2
 
     def __post_init__(self):
@@ -58,8 +68,6 @@ class ModelConfig:
             raise ValueError(f"unknown variant: {self.variant}")
         if self.hidden_dim % 2 != 0:
             raise ValueError("hidden_dim must be even (bidirectional halves)")
-        if self.layers != 2:
-            raise ValueError("only the two-layer architecture is supported")
 
     @property
     def uses_context(self) -> bool:
@@ -87,7 +95,7 @@ def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     blocks = 3 if cfg.uses_context else 2
     shapes["attn_out"] = (blocks * h, h)
     shapes["out_proj"] = (h, cfg.trg_vocab_size)
-    if any(entry.separated for entry in CONTEXTS[cfg.variant]):
+    if {"src", "trg"} & set(CONTEXTS[cfg.variant]):
         for layer, in_dim in ((1, e), (2, h)):
             shapes[f"ctx_l{layer}_wx"] = (in_dim, 4 * h)
             shapes[f"ctx_l{layer}_wh"] = (h, 4 * h)
@@ -120,40 +128,26 @@ class EncoderStates:
 
 
 @dataclass
-class ContextCache:
-    """Saved previous-sentence states consumed by context attention.
-
-    Zero entries mean no previous sentence: context attention returns an
-    exact zero vector.  shared-mix carries two entries (source, target).
-    """
-
-    entries: list[tuple[T.Tensor, np.ndarray]] = field(default_factory=list)
-
-    @classmethod
-    def empty(cls) -> "ContextCache":
-        return cls(entries=[])
-
-
-@dataclass
 class StepResult:
     probs: T.Tensor            # (B, V)
     carry: list[tuple[T.Tensor, T.Tensor]]
     h_top: T.Tensor            # (B, H) top-layer decoder state
     alpha: Optional[T.Tensor]  # (B, M) current-sentence attention
-    betas: list[T.Tensor]      # context attention weights per cache entry
+    betas: list[T.Tensor]      # context attention weights per context entry
 
 
-def context_attention(h: T.Tensor, cache: ContextCache
+def context_attention(h: T.Tensor, context: list[tuple[T.Tensor, np.ndarray]]
                       ) -> tuple[T.Tensor, list[T.Tensor]]:
-    """Previous-sentence attention; empty cache yields an exact zero vector.
+    """Previous-sentence attention; no context yields an exact zero vector.
 
-    With several entries (shared-mix) the per-entry vectors are summed.
+    With several (states, mask) entries (shared-mix) the per-entry vectors
+    are summed.
     """
-    if not cache.entries:
+    if not context:
         return T.Tensor(np.zeros(h.shape, dtype=h.dtype)), []
     betas = []
     total = None
-    for states, mask in cache.entries:
+    for states, mask in context:
         mixed, weights = T.dot_attention(states, mask, h)
         betas.append(weights)
         total = mixed if total is None else T.add(total, mixed)
@@ -208,12 +202,11 @@ class TranslationModel:
         return outputs, h, c
 
     def encode(self, src_ids: np.ndarray, src_mask: np.ndarray,
-               training: bool = False,
                rng: Optional[np.random.Generator] = None) -> EncoderStates:
         cfg = self.cfg
         half = cfg.hidden_dim // 2
         emb = T.embedding(self.params["src_emb"], src_ids)
-        emb = self._dropout(emb, training, rng)
+        emb = self._dropout(emb, rng)
         layer_in = emb
         finals = []
         for layer in (1, 2):
@@ -225,69 +218,54 @@ class TranslationModel:
                                  axis=-1)  # (B, M, H)
             finals.append((T.concat([hf, hb], axis=-1),
                            T.concat([cf, cb], axis=-1)))
-            layer_in = self._dropout(layer_out, training, rng) if layer == 1 \
+            layer_in = self._dropout(layer_out, rng) if layer == 1 \
                 else layer_out
         return EncoderStates(states=layer_in, mask=src_mask, finals=finals)
 
-    def _dropout(self, x: T.Tensor, training: bool,
+    def _dropout(self, x: T.Tensor,
                  rng: Optional[np.random.Generator]) -> T.Tensor:
-        if not training or self.cfg.dropout == 0.0:
-            return x
-        if rng is None:
-            raise ValueError("training-mode dropout needs an rng")
-        return T.dropout(x, self.cfg.dropout, True, rng)
+        """Dropout is on exactly when an rng is given (training)."""
+        return x if rng is None else T.dropout(x, self.cfg.dropout, rng)
 
     # -- context ----------------------------------------------------------
 
     def _context_scan(self, ids: np.ndarray, mask: np.ndarray, emb_table: str,
-                      training: bool, rng) -> T.Tensor:
+                      rng) -> T.Tensor:
         emb = T.embedding(self.params[emb_table], ids)
-        emb = self._dropout(emb, training, rng)
+        emb = self._dropout(emb, rng)
         layer_in = emb
         for layer in (1, 2):
             outs, _, _ = self._scan(layer_in, mask, f"ctx_l{layer}",
                                     self.cfg.hidden_dim, reverse=False)
             layer_out = T.stack(outs, axis=1)
-            layer_in = self._dropout(layer_out, training, rng) if layer == 1 \
+            layer_in = self._dropout(layer_out, rng) if layer == 1 \
                 else layer_out
         return layer_in
 
-    def context_states(self,
-                       prev_src_ids: Optional[np.ndarray] = None,
-                       prev_src_mask: Optional[np.ndarray] = None,
-                       prev_encoder: Optional[EncoderStates] = None,
-                       prev_decoder_states: Optional[T.Tensor] = None,
-                       prev_trg_ids: Optional[np.ndarray] = None,
-                       prev_trg_mask: Optional[np.ndarray] = None,
-                       training: bool = False,
-                       rng: Optional[np.random.Generator] = None) -> ContextCache:
-        """Build the previous-sentence cache from this variant's `CONTEXTS`.
+    def context_states(self, prev: Optional[Previous] = None,
+                       rng: Optional[np.random.Generator] = None
+                       ) -> list[tuple[T.Tensor, np.ndarray]]:
+        """The (states, mask) pairs context attention reads, one per field
+        of `prev` this variant's `CONTEXTS` names; none for a document's
+        first sentence (`prev` None).
 
-        Only the keywords its entries read are needed; call with no
-        arguments for the first sentence of a document.
-        Shared variants store detached copies of the saved states, so no
+        Shared variants read detached copies of the saved states, so no
         gradient crosses the sentence boundary.
         """
-        if all(a is None for a in (prev_src_ids, prev_encoder,
-                                   prev_decoder_states, prev_trg_ids)):
-            return ContextCache.empty()
-        given = {  # (side, separated) -> what the previous sentence left
-            ("source", True): (prev_src_ids, prev_src_mask),
-            ("target", True): (prev_trg_ids, prev_trg_mask),
-            ("source", False): (getattr(prev_encoder, "states", None),
-                                getattr(prev_encoder, "mask", None)),
-            ("target", False): (prev_decoder_states, prev_trg_mask)}
-        entries = []
-        for side, separated in CONTEXTS[self.cfg.variant]:
-            states, mask = given[side, separated]
-            if states is None or mask is None:
-                raise ValueError(f"{self.cfg.variant} needs the previous {side} "
-                                 + ("tokens" if separated else "states"))
-            if separated:
-                table = "src_emb" if side == "source" else "trg_emb"
-                states = self._context_scan(states, mask, table, training, rng)
-            entries.append((states if separated else states.detach(), mask))
-        return ContextCache(entries)
+        if prev is None:
+            return []
+        context = []
+        for name in CONTEXTS[self.cfg.variant]:
+            if getattr(prev, name) is None:
+                raise ValueError(f"{self.cfg.variant} reads the previous "
+                                 f"sentence's {name}, which was not given")
+            values, mask = getattr(prev, name)
+            if name in ("src", "trg"):
+                context.append((self._context_scan(values, mask,
+                                                   f"{name}_emb", rng), mask))
+            else:
+                context.append((values.detach(), mask))
+        return context
 
     # -- decoder ----------------------------------------------------------
 
@@ -295,80 +273,77 @@ class TranslationModel:
         """Decoder start state: the encoder's final per-layer states."""
         return [(h, c) for h, c in enc.finals]
 
-    def _recur(self, x: T.Tensor, carry, training: bool, rng):
+    def _recur(self, x: T.Tensor, carry, rng):
         """The two decoder LSTM layers; no input feeding, so no attention."""
         (h1, c1), (h2, c2) = carry
         h1, c1 = T.lstm_cell(x, h1, c1, self.params["dec_l1_wx"],
                              self.params["dec_l1_wh"], self.params["dec_l1_b"])
-        mid = self._dropout(h1, training, rng)
+        mid = self._dropout(h1, rng)
         h2, c2 = T.lstm_cell(mid, h2, c2, self.params["dec_l2_wx"],
                              self.params["dec_l2_wh"], self.params["dec_l2_b"])
         return [(h1, c1), (h2, c2)]
 
-    def _readout(self, h2: T.Tensor, enc: EncoderStates, cache: ContextCache
+    def _readout(self, h2: T.Tensor, enc: EncoderStates, context
                  ) -> tuple[T.Tensor, T.Tensor, list[T.Tensor]]:
         """Attention over the sentence and its context: (h_tilde, alpha, betas)."""
         attn, alpha = T.dot_attention(enc.states, enc.mask, h2)
         pieces = [h2, attn]
         betas: list[T.Tensor] = []
         if self.cfg.uses_context:
-            ctx, betas = context_attention(h2, cache)
+            ctx, betas = context_attention(h2, context)
             pieces.append(ctx)
         h_tilde = T.tanh(T.matmul(T.concat(pieces, axis=-1),
                                   self.params["attn_out"]))
         return h_tilde, alpha, betas
 
     def decode_step(self, y_prev: np.ndarray, carry, enc: EncoderStates,
-                    cache: ContextCache, training: bool = False,
-                    rng: Optional[np.random.Generator] = None) -> StepResult:
+                    context) -> StepResult:
         """One decoding step from the previous target token ids (B,)."""
         emb = T.embedding(self.params["trg_emb"], np.asarray(y_prev))
-        emb = self._dropout(emb, training, rng)
-        carry = self._recur(emb, carry, training, rng)
+        carry = self._recur(emb, carry, None)
         h_top = carry[1][0]
-        h_tilde, alpha, betas = self._readout(h_top, enc, cache)
+        h_tilde, alpha, betas = self._readout(h_top, enc, context)
         logits = T.matmul(h_tilde, self.params["out_proj"])
         return StepResult(probs=T.softmax(logits, axis=-1), carry=carry,
                           h_top=h_top, alpha=alpha, betas=betas)
 
-    def _recurrence(self, enc: EncoderStates, trg_in: np.ndarray,
-                    training: bool = False, rng=None):
+    def _recurrence(self, enc: EncoderStates, trg_in: np.ndarray, rng=None):
         """Yield the top-layer state after each token of `trg_in` (B, N+1),
         one step per request, so a caller can interleave its readout."""
         emb = T.embedding(self.params["trg_emb"], trg_in)
-        emb = self._dropout(emb, training, rng)
+        emb = self._dropout(emb, rng)
         carry = self.init_carry(enc)
         for t in range(trg_in.shape[1]):
-            carry = self._recur(T.select(emb, 1, t), carry, training, rng)
+            carry = self._recur(T.select(emb, 1, t), carry, rng)
             yield carry[1][0]
 
     def decoder_states(self, enc: EncoderStates, trg_in: np.ndarray
                        ) -> T.Tensor:
-        """Decoder cache states (B, N, H) over BOS + gold tokens `trg_in`.
+        """Decoder states (B, N, H) over BOS + gold tokens `trg_in`.
 
         The state for token n is the top-layer state after consuming y_n;
         only the recurrence runs, since the states do not read attention.
         """
         return T.stack(list(self._recurrence(enc, trg_in))[1:], axis=1)
 
-    def forward_loss(self, pos, cache: ContextCache, training: bool = False,
+    def forward_loss(self, pos, context,
                      rng: Optional[np.random.Generator] = None
-                     ) -> tuple[T.Tensor, EncoderStates, T.Tensor, float]:
+                     ) -> tuple[T.Tensor, EncoderStates, Previous, float]:
         """Teacher-forced mean NLL for one batch position.
 
-        Returns (loss, encoder states, decoder cache states (B,N,H) as in
-        `decoder_states`, the number of target tokens counted).
+        Returns (loss, encoder states, what this sentence leaves for the
+        next, the number of target tokens counted); its `dec` states are
+        those of `decoder_states`.
         """
         full_mask = pos.out_mask * pos.active[:, None]
         if full_mask.sum() == 0:
             raise ValueError("forward_loss on a batch position with no active rows")
-        enc = self.encode(pos.src, pos.src_mask * pos.active[:, None],
-                          training, rng)
+        enc = self.encode(pos.src, pos.src_mask * pos.active[:, None], rng)
         # each step's readout is recorded right after its recurrence, which
         # fixes the order the gradients are summed in
         h_tildes, h_tops = [], []
-        for h_top in self._recurrence(enc, pos.trg_in, training, rng):
-            h_tildes.append(self._readout(h_top, enc, cache)[0])
+        for h_top in self._recurrence(enc, pos.trg_in, rng):
+            h_tildes.append(self._readout(h_top, enc, context)[0])
             h_tops.append(h_top)
         h_tilde = T.stack(h_tildes, axis=1)
         dec_states = T.stack(h_tops[1:], axis=1)
@@ -376,7 +351,10 @@ class TranslationModel:
         logits = T.matmul(stacked, self.params["out_proj"])
         loss = T.cross_entropy(logits, pos.trg_out.reshape(-1),
                                full_mask.reshape(-1))
-        return loss, enc, dec_states, float(full_mask.sum())
+        prev = Previous(src=(pos.src, pos.src_mask), enc=(enc.states, enc.mask),
+                        trg=(pos.trg, pos.trg_mask),
+                        dec=(dec_states, pos.trg_mask))
+        return loss, enc, prev, float(full_mask.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +373,7 @@ def save_checkpoint(model: TranslationModel, prefix: str) -> None:
         f"hidden_dim={cfg.hidden_dim}",
         f"src_vocab_size={cfg.src_vocab_size}",
         f"trg_vocab_size={cfg.trg_vocab_size}",
-        f"layers={cfg.layers}",
+        "layers=2",
         f"dropout={cfg.dropout}",
     ]
     for name, p in model.params.items():
@@ -423,13 +401,15 @@ def load_checkpoint(prefix: str, dtype=np.float32) -> TranslationModel:
             else:
                 key, value = line.split("=", 1)
                 fields[key] = value
+    if fields.get("layers") != "2":
+        raise ValueError(f"{prefix}.manifest: layers={fields.get('layers')}, "
+                         "only the two-layer architecture is supported")
     cfg = ModelConfig(
         variant=fields["variant"],
         emb_dim=int(fields["emb_dim"]),
         hidden_dim=int(fields["hidden_dim"]),
         src_vocab_size=int(fields["src_vocab_size"]),
         trg_vocab_size=int(fields["trg_vocab_size"]),
-        layers=int(fields["layers"]),
         dropout=float(fields["dropout"]),
     )
     shapes = parameter_shapes(cfg)

@@ -306,11 +306,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make((table,), bw, table.data[ids])
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-p), identity in eval mode."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
+    """Inverted dropout: survivors scaled by 1/(1-p); draws nothing at p=0."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if p == 0.0:
         return x
     mask = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
 

@@ -125,13 +125,10 @@ def train_model(model: TranslationModel, train_docs: Sequence[C.Document],
         epoch_nll, epoch_tokens = 0.0, 0.0
         for b_idx, batch in enumerate(batches):
             opt.zero_grad()
-            prev: dict = {}
-            batch_tokens = 0.0
+            prev, batch_tokens = None, 0.0
             for p_idx, pos in enumerate(batch.positions):
-                cache = model.context_states(**prev, training=True,
-                                             rng=dropout_rng)
-                loss, enc, dec, ntok = model.forward_loss(
-                    pos, cache, training=True, rng=dropout_rng)
+                loss, _, prev, ntok = model.forward_loss(
+                    pos, model.context_states(prev, dropout_rng), dropout_rng)
                 if not np.isfinite(loss.data):
                     raise TrainingDiverged(
                         f"non-finite loss at epoch {epoch}, batch {b_idx}, "
@@ -140,9 +137,6 @@ def train_model(model: TranslationModel, train_docs: Sequence[C.Document],
                 epoch_nll += float(loss.data) * ntok
                 epoch_tokens += ntok
                 batch_tokens += ntok
-                prev = dict(prev_src_ids=pos.src, prev_src_mask=pos.src_mask,
-                            prev_encoder=enc, prev_decoder_states=dec,
-                            prev_trg_ids=pos.trg, prev_trg_mask=pos.trg_mask)
             scale = 1.0 / batch_tokens
             for p in params:
                 if p.grad is not None:
@@ -191,7 +185,7 @@ def init_from_baseline(baseline: TranslationModel, variant: str,
                       hidden_dim=base_cfg.hidden_dim,
                       src_vocab_size=base_cfg.src_vocab_size,
                       trg_vocab_size=base_cfg.trg_vocab_size,
-                      layers=base_cfg.layers, dropout=base_cfg.dropout)
+                      dropout=base_cfg.dropout)
     h = cfg.hidden_dim
     params: dict[str, T.Tensor] = {}
     for name, shape in parameter_shapes(cfg).items():

@@ -60,23 +60,17 @@ def variant_family(src_vocab, trg_vocab, emb=8, hidden=8, seed=0,
     return models
 
 
-def position_cache(model, batch, pos_idx, frozen=True):
-    """Cache for batch position pos_idx, built from position pos_idx-1.
+def position_cache(model, batch, pos_idx):
+    """Context for batch position pos_idx, chained from position 0 through
+    each position's `Previous`.
 
-    With frozen=True the producing forward pass runs untracked, so shared
-    caches are plain constants (the semantics training relies on).
+    The producing forward passes run untracked, so shared states are plain
+    constants (the semantics training relies on).
     """
     if pos_idx == 0 or model.cfg.variant == "baseline":
         return model.context_states()
-    prev = batch.positions[pos_idx - 1]
-    if frozen:
-        with T.no_grad():
-            _, enc, dec, _ = model.forward_loss(prev, position_cache(
-                model, batch, pos_idx - 1, frozen=True))
-    else:
-        _, enc, dec, _ = model.forward_loss(prev, position_cache(
-            model, batch, pos_idx - 1, frozen=False))
-    return model.context_states(
-        prev_src_ids=prev.src, prev_src_mask=prev.src_mask,
-        prev_encoder=enc, prev_decoder_states=dec,
-        prev_trg_ids=prev.trg, prev_trg_mask=prev.trg_mask)
+    with T.no_grad():
+        _, _, prev, _ = model.forward_loss(
+            batch.positions[pos_idx - 1],
+            position_cache(model, batch, pos_idx - 1))
+    return model.context_states(prev)

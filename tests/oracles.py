@@ -82,31 +82,32 @@ def _one_row(ids):
     return mat, mask
 
 
-def greedy_reference(model, doc, src_vocab, trg_vocab, gold_context=False,
-                     max_ratio=2.0):
+def greedy_reference(model, doc, src_vocab, trg_vocab, gold_context=False):
     """Greedy decoding of one document, one sentence at a time, batch 1.
 
     Each step takes the argmax of `decode_step` (lowest id on ties) and a
-    hypothesis ends at EOS or at ceil(max_ratio * source length) tokens.
-    Sentence i's context comes from sentence i-1 through the public
-    `context_states` keywords: its encoder states and source ids, its
-    hypothesis (or, with gold_context, gold) ids, and the top-layer
-    decoder states after each of those tokens was fed back.
+    hypothesis ends at EOS or at ceil(MAX_RATIO * source length) tokens.
+    Sentence i's context comes from sentence i-1 through a public
+    `Previous`: its source ids and encoder states, its hypothesis (or,
+    with gold_context, gold) ids, and the top-layer decoder states after
+    each of those tokens was fed back.
     """
     from docnmt import bpe as B
     from docnmt import tensor as T
+    from docnmt.evaluation import MAX_RATIO
+    from docnmt.model import Previous
 
-    hyps, prev = [], {}
+    hyps, prev = [], None
     for src, trg in doc.pairs:
         src_ids, src_mask = _one_row(src_vocab.encode(src))
-        limit = math.ceil(max_ratio * len(src))
+        limit = math.ceil(MAX_RATIO * len(src))
         with T.no_grad():
             enc = model.encode(src_ids, src_mask)
-            cache = model.context_states(**prev)
+            context = model.context_states(prev)
             carry = model.init_carry(enc)
             y, out, states = B.BOS, [], []
             while True:
-                res = model.decode_step(np.array([y]), carry, enc, cache)
+                res = model.decode_step(np.array([y]), carry, enc, context)
                 carry = res.carry
                 if out:
                     states.append(res.h_top.data[0])
@@ -121,26 +122,23 @@ def greedy_reference(model, doc, src_vocab, trg_vocab, gold_context=False,
                 context_ids = trg_vocab.encode(trg)
                 carry, states = model.init_carry(enc), []
                 for y in [B.BOS] + context_ids:
-                    res = model.decode_step(np.array([y]), carry, enc, cache)
+                    res = model.decode_step(np.array([y]), carry, enc,
+                                            context)
                     carry = res.carry
                     states.append(res.h_top.data[0])
                 states = states[1:]
         hyps.append(trg_vocab.decode(out))
-        trg_ids, trg_mask = _one_row(context_ids)
         dec = np.zeros((1, max(1, len(states)), model.cfg.hidden_dim),
                        dtype=model.dtype)
         dec[0, :len(states)] = np.reshape(states, (-1, model.cfg.hidden_dim))
         _, dec_mask = _one_row([0] * len(states))
-        prev = dict(prev_src_ids=src_ids, prev_src_mask=src_mask,
-                    prev_encoder=enc, prev_trg_ids=trg_ids,
-                    prev_decoder_states=T.Tensor(dec),
-                    prev_trg_mask=trg_mask if model.cfg.variant ==
-                    "separated-target" else dec_mask)
+        prev = Previous(src=(src_ids, src_mask), enc=(enc.states, enc.mask),
+                        trg=_one_row(context_ids),
+                        dec=(T.Tensor(dec), dec_mask))
     return hyps
 
 
-
-def beam_reference(model, doc, src_vocab, trg_vocab, beam_size, max_ratio=2.0):
+def beam_reference(model, doc, src_vocab, trg_vocab, beam_size):
     """Beam search over one document, one sentence and one beam at a time.
 
     Context comes only from the previous sentence's encoder states, so it
@@ -154,20 +152,23 @@ def beam_reference(model, doc, src_vocab, trg_vocab, beam_size, max_ratio=2.0):
     """
     from docnmt import bpe as B
     from docnmt import tensor as T
+    from docnmt.evaluation import MAX_RATIO
+    from docnmt.model import Previous
 
-    hyps, prev = [], {}
+    hyps, prev = [], None
     for src, _ in doc.pairs:
         src_ids, src_mask = _one_row(src_vocab.encode(src))
-        limit = math.ceil(max_ratio * len(src))
+        limit = math.ceil(MAX_RATIO * len(src))
         with T.no_grad():
             enc = model.encode(src_ids, src_mask)
-            cache = model.context_states(**prev)
+            context = model.context_states(prev)
             beams, done = [([], 0.0, model.init_carry(enc))], []
             while beams and len(done) < beam_size:
                 ranked = []
                 for b, (toks, score, carry) in enumerate(beams):
                     y = toks[-1] if toks else B.BOS
-                    res = model.decode_step(np.array([y]), carry, enc, cache)
+                    res = model.decode_step(np.array([y]), carry, enc,
+                                            context)
                     logp = np.log(np.maximum(
                         res.probs.data[0].astype(np.float64), 1e-300))
                     ranked += [(-(score + lp), b, t, toks, res.carry)
@@ -184,5 +185,5 @@ def beam_reference(model, doc, src_vocab, trg_vocab, beam_size, max_ratio=2.0):
                     if len(beams) == beam_size:
                         break
         hyps.append(trg_vocab.decode(max(done, key=lambda d: d[0])[1]))
-        prev = dict(prev_encoder=enc)
+        prev = Previous(enc=(enc.states, enc.mask))
     return hyps

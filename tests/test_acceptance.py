@@ -21,8 +21,8 @@ from docnmt import cli
 from docnmt import corpus as C
 from docnmt import evaluation as E
 from docnmt import tensor as T
-from docnmt.model import (ContextCache, ModelConfig, TranslationModel,
-                          VARIANTS, param_count)
+from docnmt.model import (ModelConfig, Previous, TranslationModel, VARIANTS,
+                          context_attention, param_count)
 from docnmt.training import TrainConfig, fine_tune_context, pretrain_baseline
 
 from minigraphs import build_minigraph
@@ -147,12 +147,12 @@ class TestCriterion1GradientOracle:
                                      dtype=np.float64)
             pos = batch.positions[1]
             if variant in ("separated-source", "separated-target"):
-                prev = batch.positions[0]
+                first = batch.positions[0]
+                tokens = Previous(src=(first.src, first.src_mask),
+                                  trg=(first.trg, first.trg_mask))
 
-                def loss_tensor(model=model, prev=prev, pos=pos):
-                    cache = model.context_states(
-                        prev_src_ids=prev.src, prev_src_mask=prev.src_mask,
-                        prev_trg_ids=prev.trg, prev_trg_mask=prev.trg_mask)
+                def loss_tensor(model=model, tokens=tokens, pos=pos):
+                    cache = model.context_states(tokens)
                     return model.forward_loss(pos, cache)[0]
             else:
                 cache = position_cache(model, batch, 1)
@@ -202,7 +202,7 @@ class TestCriterion2AttentionNormalization:
                     carry = res.carry
                     for weights, mask in [(res.alpha.data, pos.src_mask)] + [
                             (beta.data, entry[1])
-                            for beta, entry in zip(res.betas, cache.entries)]:
+                            for beta, entry in zip(res.betas, cache)]:
                         live = mask.sum(axis=1) > 0
                         sums = weights.sum(axis=1)[live]
                         worst_dev = max(worst_dev,
@@ -259,18 +259,16 @@ class TestCriterion4ZeroContextEquivalences:
             else:
                 ok_a &= bool(np.array_equal(res.probs.data, first))
 
-        # (b) shared-mix with empty target cache == shared-source, bitwise
-        from docnmt.model import context_attention
-        mix = models["shared-mix"]
+        # (b) from one previous sentence, shared-mix's context vector is
+        # shared-source's plus shared-target's, bitwise
         with T.no_grad():
-            enc = mix.encode(pos0.src, pos0.src_mask)
-        src_cache = models["shared-source"].context_states(prev_encoder=enc)
-        mix_cache_no_target = ContextCache(entries=list(src_cache.entries))
+            _, _, prev, _ = models["shared-mix"].forward_loss(pos0, [])
         query = T.Tensor(np.random.default_rng(3).normal(
             size=(pos0.src.shape[0], 8)).astype(np.float32))
-        ctx_mix, _ = context_attention(query, mix_cache_no_target)
-        ctx_src, _ = context_attention(query, src_cache)
-        ok_b = bool(np.array_equal(ctx_mix.data, ctx_src.data))
+        ctx = {v: context_attention(query, models[v].context_states(prev))[0]
+               for v in ("shared-mix", "shared-source", "shared-target")}
+        summed = T.add(ctx["shared-source"], ctx["shared-target"])
+        ok_b = ctx["shared-mix"].data.tobytes() == summed.data.tobytes()
 
         # (c) zeroed context block reproduces baseline distributions
         zeroed = variant_family(src_v, trg_v, seed=11, zero_ctx_block=True)
@@ -278,7 +276,7 @@ class TestCriterion4ZeroContextEquivalences:
             enc_b = zeroed["baseline"].encode(pos1.src, pos1.src_mask)
             base = zeroed["baseline"].decode_step(
                 pos1.trg_in[:, 0], zeroed["baseline"].init_carry(enc_b),
-                enc_b, ContextCache.empty())
+                enc_b, [])
         worst_c = 0.0
         for variant in VARIANTS:
             if variant == "baseline":
@@ -294,7 +292,7 @@ class TestCriterion4ZeroContextEquivalences:
         ok_c = worst_c <= 1e-6
         _verdict("criterion 4 (zero-context equivalences)",
                  ok_a and ok_b and ok_c,
-                 f"first-sentence bitwise: {ok_a}; mix==source bitwise: "
+                 f"first-sentence bitwise: {ok_a}; mix==source+target bitwise: "
                  f"{ok_b}; zero-block vs baseline max dev {worst_c:.2e}")
 
 

@@ -78,6 +78,18 @@ class TestSynthPreprocess:
         assert settings["merges"] == "60"              # flag
         assert settings["max_len"] == str(cli.DESK_PROFILE["max_len"])
 
+    @pytest.mark.parametrize("token", ["x@@", "@@"])
+    def test_bpe_marker_in_input_names_file_and_line(self, tmp_path, token):
+        # de-segmenting would turn "x@@" into "x" and drop "@@"
+        src, trg = tmp_path / "c.src", tmp_path / "c.trg"
+        src.write_text("a b\nc d\n\ne f\n")
+        trg.write_text(f"a b\nc d\n\ne {token} f\n")
+        with pytest.raises(ValueError, match=rf"c\.trg, line 4: token "
+                                             rf"'{token}' ends in the BPE"):
+            cli.run(["preprocess", "--train-src", str(src),
+                     "--train-trg", str(trg), "--out-dir", str(tmp_path)])
+        assert not (tmp_path / "corpus.train.src").exists()
+
 
 class TestTraining:
     def test_checkpoint_rerun_is_byte_identical(self, pipeline, tmp_path):

@@ -77,7 +77,7 @@ class TestBatching:
         src_v, trg_v = self._vocab(docs)
         batches = C.make_batches(docs, src_v, trg_v, max_docs=2,
                                  rng=np.random.default_rng(0))
-        assert [b.num_docs for b in batches] == [2, 1]
+        assert [len(b.positions[0].active) for b in batches] == [2, 1]
 
     def test_shorter_documents_masked_out(self):
         d1 = C.Document("a", [(["x"], ["y"])] * 2)
@@ -111,7 +111,6 @@ class TestBatching:
         src_v, trg_v = self._vocab(docs)
         with pytest.raises(ValueError):
             C.make_batches(docs, src_v, trg_v)
-        assert C.make_batches(docs, src_v, trg_v, shuffle=False)
 
 
 class TestSynthetic:

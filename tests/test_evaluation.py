@@ -117,8 +117,8 @@ class TestTranslate:
         doc = C.Document("one", [seg[0].pairs[0]])
         outputs = []
         for variant in VARIANTS:
-            hyp, _ = E.translate_document(models[variant], doc, src_v, trg_v)
-            outputs.append(hyp)
+            hyps, _ = E.translate_corpus(models[variant], [doc], src_v, trg_v)
+            outputs.append(hyps)
         assert all(o == outputs[0] for o in outputs)
 
     @pytest.mark.parametrize("gold", [False, True])
@@ -154,10 +154,10 @@ class TestTranslate:
             ModelConfig("separated-target", 12, 12, len(src_v), len(trg_v)),
             rng=T.make_rng(10, 0))
         doc = seg[1]
-        hyp, _ = E.translate_document(model, doc, src_v, trg_v, beam_size=4)
+        [hyp], _ = E.translate_corpus(model, [doc], src_v, trg_v, beam_size=4)
         assert len(hyp) == len(doc)
         for sent, (src, _) in zip(hyp, doc.pairs):
-            assert len(sent) <= math.ceil(2.0 * len(src))
+            assert len(sent) <= math.ceil(E.MAX_RATIO * len(src))
 
     def test_beam_size_zero_rejected(self, task):
         _, seg, _, src_v, trg_v = task
@@ -227,9 +227,9 @@ class TestTranslate:
         pairs, _ = E.translate_corpus(model, seg, src_v, trg_v,
                                       beam_size=beam, gold_context=gold,
                                       batch_docs=2)
-        single = [E.translate_document(model, d, src_v, trg_v,
-                                       beam_size=beam, gold_context=gold)[0]
-                  for d in seg]
+        single, _ = E.translate_corpus(model, seg, src_v, trg_v,
+                                       beam_size=beam, gold_context=gold,
+                                       batch_docs=1)
         assert batched == pairs == single
 
     def test_gold_context_accepts_documents_with_gold_targets(self, task):

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 from docnmt import bpe as B
 from docnmt import corpus as C
 from docnmt import tensor as T
-from docnmt.model import (ContextCache, ModelConfig, TranslationModel,
-                          VARIANTS, context_attention, load_checkpoint,
-                          param_count, parameter_shapes, save_checkpoint)
+from docnmt.model import (ModelConfig, Previous, TranslationModel, VARIANTS,
+                          context_attention, load_checkpoint, param_count,
+                          parameter_shapes, save_checkpoint)
 
 from model_helpers import position_cache, tiny_task, variant_family
 from oracles import finite_difference_grads, max_relative_error
@@ -134,7 +134,7 @@ class TestContextStates:
         _, _, src_v, trg_v = task
         for variant in VARIANTS:
             model = make_model(variant, src_v, trg_v)
-            assert model.context_states().entries == []
+            assert model.context_states() == []
 
     def test_shared_source_reuses_encoder_states_bitwise(self, task):
         _, batch, src_v, trg_v = task
@@ -142,8 +142,8 @@ class TestContextStates:
         pos = batch.positions[0]
         with T.no_grad():
             enc = model.encode(pos.src, pos.src_mask)
-        cache = model.context_states(prev_encoder=enc)
-        states, mask = cache.entries[0]
+        [(states, mask)] = model.context_states(
+            Previous(enc=(enc.states, enc.mask)))
         np.testing.assert_array_equal(states.data, enc.states.data)
         assert not states.requires_grad
 
@@ -152,12 +152,10 @@ class TestContextStates:
         model = make_model("shared-target", src_v, trg_v)
         pos = batch.positions[0]
         with T.no_grad():
-            _, enc, dec, _ = model.forward_loss(pos, ContextCache.empty())
-        cache = model.context_states(prev_decoder_states=dec,
-                                     prev_trg_mask=pos.trg_mask)
-        states, _ = cache.entries[0]
+            _, _, prev, _ = model.forward_loss(pos, model.context_states())
+        [(states, _)] = model.context_states(prev)
         before = states.data.copy()
-        dec.data[:] = 123.0  # later mutation must not reach the cache
+        prev.dec[0].data[:] = 123.0  # later mutation must not reach the copy
         np.testing.assert_array_equal(states.data, before)
 
     def test_zeroed_context_encoder_contributes_zero(self, task):
@@ -167,49 +165,50 @@ class TestContextStates:
             if name.startswith("ctx_"):
                 p.data[:] = 0.0
         pos = batch.positions[0]
-        cache = model.context_states(prev_src_ids=pos.src,
-                                     prev_src_mask=pos.src_mask)
-        states, _ = cache.entries[0]
+        context = model.context_states(Previous(src=(pos.src, pos.src_mask)))
+        [(states, _)] = context
         assert (states.data == 0).all()
         ctx, _ = context_attention(T.Tensor(np.ones((4, 8), dtype=np.float32)),
-                                   cache)
+                                   context)
         assert (ctx.data == 0).all()
 
     def test_missing_target_context_rejected(self, task):
         _, batch, src_v, trg_v = task
         model = make_model("shared-target", src_v, trg_v)
-        with pytest.raises(ValueError):
-            model.context_states(prev_src_ids=batch.positions[0].src,
-                                 prev_src_mask=batch.positions[0].src_mask)
+        pos = batch.positions[0]
+        with pytest.raises(ValueError, match="shared-target reads the "
+                                             "previous sentence's dec"):
+            model.context_states(Previous(src=(pos.src, pos.src_mask),
+                                          trg=(pos.trg, pos.trg_mask)))
 
 
 class TestContextAttention:
     def test_empty_cache_gives_exact_zero(self):
         h = T.Tensor(np.random.default_rng(0).normal(size=(3, 8)))
-        ctx, betas = context_attention(h, ContextCache.empty())
+        ctx, betas = context_attention(h, [])
         assert (ctx.data == 0.0).all() and betas == []
 
     def test_zero_states_give_uniform_weights_and_zero_vector(self):
         h = T.Tensor(np.random.default_rng(1).normal(size=(2, 8)))
-        cache = ContextCache([(T.Tensor(np.zeros((2, 5, 8), dtype=np.float32)),
-                               np.ones((2, 5), dtype=np.float32))])
-        ctx, betas = context_attention(h, cache)
+        context = [(T.Tensor(np.zeros((2, 5, 8), dtype=np.float32)),
+                    np.ones((2, 5), dtype=np.float32))]
+        ctx, betas = context_attention(h, context)
         np.testing.assert_allclose(betas[0].data, 0.2, atol=1e-7)
         assert (ctx.data == 0.0).all()
 
-    def test_shared_mix_with_empty_target_matches_source_bitwise(self, task):
+    def test_shared_mix_sums_source_and_target_bitwise(self, task):
         _, batch, src_v, trg_v = task
         models = variant_family(src_v, trg_v)
-        mix, src_only = models["shared-mix"], models["shared-source"]
-        pos = batch.positions[0]
         with T.no_grad():
-            enc = mix.encode(pos.src, pos.src_mask)
-        cache_src = src_only.context_states(prev_encoder=enc)
+            _, _, prev, _ = models["shared-mix"].forward_loss(
+                batch.positions[0], [])
         h = T.Tensor(np.random.default_rng(2).normal(
-            size=(pos.src.shape[0], 8)).astype(np.float32))
-        ctx_src, _ = context_attention(h, cache_src)
-        ctx_mix, _ = context_attention(h, cache_src)  # mix with absent target
-        np.testing.assert_array_equal(ctx_mix.data, ctx_src.data)
+            size=(batch.positions[0].src.shape[0], 8)).astype(np.float32))
+        ctx = {v: context_attention(h, models[v].context_states(prev))[0]
+               for v in ("shared-mix", "shared-source", "shared-target")}
+        summed = T.add(ctx["shared-source"], ctx["shared-target"])
+        assert ctx["shared-mix"].data.tobytes() == summed.data.tobytes()
+        assert (ctx["shared-target"].data != 0).any()
 
 
 class TestDecodeStep:
@@ -233,7 +232,7 @@ class TestDecodeStep:
             enc = model.encode(np.array([[5]]),
                                np.ones((1, 1), dtype=np.float32))
             res = model.decode_step(np.array([B.BOS]), model.init_carry(enc),
-                                    enc, ContextCache.empty())
+                                    enc, [])
         np.testing.assert_array_equal(res.alpha.data, [[1.0]])
 
     def test_zeroed_context_block_matches_baseline(self, task):
@@ -244,7 +243,7 @@ class TestDecodeStep:
             enc_b = models["baseline"].encode(pos.src, pos.src_mask)
             base = models["baseline"].decode_step(
                 pos.trg_in[:, 0], models["baseline"].init_carry(enc_b), enc_b,
-                ContextCache.empty())
+                [])
             for variant in VARIANTS:
                 if variant == "baseline":
                     continue
@@ -263,10 +262,10 @@ class TestDecodeStep:
         pos = batch.positions[1]
         cache = position_cache(model, batch, 1)
         with T.no_grad():
-            _, enc, want, _ = model.forward_loss(pos, cache)
+            _, enc, prev, _ = model.forward_loss(pos, cache)
             got = model.decoder_states(enc, pos.trg_in)
         assert got.shape == (pos.trg.shape[0], pos.trg.shape[1], 8)
-        assert got.data.tobytes() == want.data.tobytes()
+        assert got.data.tobytes() == prev.dec[0].data.tobytes()
 
 
 class TestForwardLoss:
@@ -276,7 +275,7 @@ class TestForwardLoss:
         for p in model.param_list():
             p.data[:] = 0.0
         loss, _, _, _ = model.forward_loss(batch.positions[0],
-                                           ContextCache.empty())
+                                           [])
         np.testing.assert_allclose(float(loss.data), np.log(len(trg_v)),
                                    rtol=1e-6)
 
@@ -290,7 +289,7 @@ class TestForwardLoss:
         for step in range(50):
             opt.zero_grad()
             loss, _, _, _ = model.forward_loss(batch.positions[0],
-                                               ContextCache.empty())
+                                               [])
             T.backward(loss)
             opt.step()
             first = first if first is not None else float(loss.data)
@@ -322,7 +321,7 @@ class TestForwardLoss:
 
         def run(pos):
             model.zero_grad()
-            loss, _, _, _ = model.forward_loss(pos, ContextCache.empty())
+            loss, _, _, _ = model.forward_loss(pos, [])
             T.backward(loss, params=model.param_list())
             return float(loss.data), [p.grad.copy() for p in model.param_list()]
 
@@ -331,6 +330,32 @@ class TestForwardLoss:
         assert loss_pair == loss_alone
         for a, b in zip(grads_pair, grads_alone):
             np.testing.assert_allclose(a, b, rtol=1e-5, atol=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(variant=st.sampled_from(VARIANTS),
+           picks=st.lists(st.integers(0, 3), min_size=1, max_size=4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_batch_loss_is_token_weighted_sum_of_documents(self, task, variant,
+                                                           picks, seed):
+        # context chained through each position's Previous, as in training
+        seg, _, src_v, trg_v = task
+        model = TranslationModel(
+            ModelConfig(variant, 4, 4, len(src_v), len(trg_v), dropout=0.0),
+            rng=T.make_rng(seed, 0), dtype=np.float64)
+
+        def summed_loss(docs):
+            total, prev = 0.0, None
+            with T.no_grad():
+                for pos in C.build_batch(docs, src_v, trg_v).positions:
+                    loss, _, prev, ntok = model.forward_loss(
+                        pos, model.context_states(prev))
+                    total += float(loss.data) * ntok
+            return total
+
+        docs = [seg[i] for i in picks]
+        np.testing.assert_allclose(summed_loss(docs),
+                                   sum(summed_loss([d]) for d in docs),
+                                   rtol=1e-12)
 
     def test_empty_position_rejected(self, task):
         _, batch, src_v, trg_v = task
@@ -341,7 +366,7 @@ class TestForwardLoss:
                            trg_out=pos.trg_out, out_mask=pos.out_mask,
                            active=np.zeros_like(pos.active))
         with pytest.raises(ValueError):
-            model.forward_loss(hollow, ContextCache.empty())
+            model.forward_loss(hollow, [])
 
 
 class TestFirstSentenceInvariance:
@@ -370,15 +395,11 @@ class TestGradientFlowBoundary:
 
         def two_position_grads(model):
             model.zero_grad()
-            loss1, enc, dec, n1 = model.forward_loss(
+            loss1, _, prev, n1 = model.forward_loss(
                 batch.positions[0], model.context_states())
             T.backward(T.mul(loss1, n1))
-            cache = model.context_states(
-                prev_encoder=enc, prev_decoder_states=dec,
-                prev_trg_ids=batch.positions[0].trg,
-                prev_trg_mask=batch.positions[0].trg_mask) \
-                if model.cfg.uses_context else model.context_states()
-            loss2, _, _, n2 = model.forward_loss(batch.positions[1], cache)
+            loss2, _, _, n2 = model.forward_loss(batch.positions[1],
+                                                 model.context_states(prev))
             T.backward(T.mul(loss2, n2))
             return {n: p.grad.copy() for n, p in model.params.items()}
 
@@ -395,17 +416,15 @@ class TestGradientFlowBoundary:
         _, batch, src_v, trg_v = task
         model = make_model("shared-mix", src_v, trg_v)
         first, second = batch.positions[0], batch.positions[1]
-        _, enc, dec, _ = model.forward_loss(first, ContextCache.empty())
-        cache = model.context_states(prev_encoder=enc,
-                                     prev_decoder_states=dec,
-                                     prev_trg_mask=first.trg_mask)
-        assert len(cache.entries) == 2
-        for states, _ in cache.entries:
+        _, _, prev, _ = model.forward_loss(first, [])
+        context = model.context_states(prev)
+        assert len(context) == 2
+        for states, _ in context:
             assert not states.requires_grad
-        loss, _, _, _ = model.forward_loss(second, cache)
+        loss, _, _, _ = model.forward_loss(second, context)
         T.backward(loss)  # also clears the first position's records
         assert model.params["attn_out"].grad is not None
-        assert enc.states.grad is None and dec.grad is None
+        assert prev.enc[0].grad is None and prev.dec[0].grad is None
 
 
 class TestGradients:
@@ -419,12 +438,12 @@ class TestGradients:
         pos = batch.positions[1]
 
         if variant in ("separated-source", "separated-target"):
-            prev = batch.positions[0]
+            first = batch.positions[0]
+            tokens = Previous(src=(first.src, first.src_mask),
+                              trg=(first.trg, first.trg_mask))
 
             def loss_tensor():
-                fresh = model.context_states(
-                    prev_src_ids=prev.src, prev_src_mask=prev.src_mask,
-                    prev_trg_ids=prev.trg, prev_trg_mask=prev.trg_mask)
+                fresh = model.context_states(tokens)
                 return model.forward_loss(pos, fresh)[0]
         else:
             def loss_tensor():
@@ -498,6 +517,8 @@ class TestCheckpoint:
         ("misshaped", r"ckpt\.manifest: parameter attn_out has shape "
                       r"\(8, 16\), the config needs \(16, 8\)"),
         ("truncated", r"ckpt\.bin holds \d+ values, the config needs \d+"),
+        ("layers", r"ckpt\.manifest: layers=3, only the two-layer "
+                   r"architecture is supported"),
     ])
     def test_parameters_checked_against_config(self, task, tmp_path, edit,
                                                message):
@@ -513,6 +534,8 @@ class TestCheckpoint:
         elif edit == "misshaped":
             lines = [ln.replace("16,8", "8,16") if "\tattn_out\t" in ln
                      else ln for ln in lines]
+        elif edit == "layers":
+            lines = ["layers=3" if ln == "layers=2" else ln for ln in lines]
         else:
             blob = (tmp_path / "ckpt.bin").read_bytes()
             (tmp_path / "ckpt.bin").write_bytes(blob[:-8])

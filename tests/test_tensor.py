@@ -194,20 +194,16 @@ class TestAdaGrad:
 class TestDropout:
     def test_p_zero_is_identity(self):
         x = T.Tensor([1.0, 2.0])
-        assert T.dropout(x, 0.0, True, np.random.default_rng(0)) is x
-
-    def test_eval_mode_is_identity(self):
-        x = T.Tensor([1.0, 2.0])
-        assert T.dropout(x, 0.7, False, np.random.default_rng(0)) is x
+        assert T.dropout(x, 0.0, np.random.default_rng(0)) is x
 
     def test_invalid_probability(self):
         x = T.Tensor([1.0])
         with pytest.raises(ValueError):
-            T.dropout(x, 1.0, True, np.random.default_rng(0))
+            T.dropout(x, 1.0, np.random.default_rng(0))
 
     def test_mean_preserved(self):
         x = T.Tensor(np.ones(100_000))
-        out = T.dropout(x, 0.2, True, np.random.default_rng(42))
+        out = T.dropout(x, 0.2, np.random.default_rng(42))
         assert abs(float(out.data.mean()) - 1.0) < 0.02
 
 
@@ -217,7 +213,7 @@ class TestDeterminism:
         params, forward = build_minigraph(3)
         loss = forward()
         T.backward(loss, params=params)
-        drop = T.dropout(T.Tensor(rng.normal(size=50)), 0.3, True,
+        drop = T.dropout(T.Tensor(rng.normal(size=50)), 0.3,
                          np.random.default_rng(5))
         return float(loss.data), [p.grad.copy() for p in params], drop.data.copy()
 

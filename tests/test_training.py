@@ -5,8 +5,8 @@ from docnmt import bpe as B
 from docnmt import corpus as C
 from docnmt import tensor as T
 from docnmt import training as TR
-from docnmt.model import (ContextCache, ModelConfig, TranslationModel,
-                          VARIANTS, load_checkpoint, save_checkpoint)
+from docnmt.model import (ModelConfig, TranslationModel, VARIANTS,
+                          load_checkpoint, save_checkpoint)
 
 from model_helpers import tiny_task
 
@@ -92,8 +92,7 @@ class TestPretrain:
             ModelConfig("baseline", 32, 32, len(src_v), len(trg_v)),
             rng=T.make_rng(0, 0))
         batch = C.build_batch(seg, src_v, trg_v)
-        loss, _, _, _ = model.forward_loss(batch.positions[0],
-                                           ContextCache.empty())
+        loss, _, _, _ = model.forward_loss(batch.positions[0], [])
         T.backward(loss)
         assert abs(float(loss.data) - np.log(len(trg_v))) < 0.05 * np.log(len(trg_v))
 
@@ -190,13 +189,12 @@ class TestContextBuildOrder:
 
         def forward_spy(*args, **kwargs):
             out = orig_forward(*args, **kwargs)
-            events.append(("forward", id(out[1])))
+            events.append(("forward", id(out[2])))
             return out
 
-        def cache_spy(**kwargs):
-            prev = kwargs.get("prev_encoder")
+        def cache_spy(prev=None, rng=None):
             events.append(("cache", None if prev is None else id(prev)))
-            return orig_cache(**kwargs)
+            return orig_cache(prev, rng)
 
         model.forward_loss = forward_spy
         model.context_states = cache_spy
