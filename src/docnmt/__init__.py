@@ -14,8 +14,8 @@ from .evaluation import (bleu, bootstrap_significance, score_slots,
                          translate_corpus)
 from .model import (ModelConfig, TranslationModel, VARIANTS, load_checkpoint,
                     param_count, save_checkpoint)
-from .training import (TrainConfig, TrainLog, fine_tune_context,
-                       pretrain_baseline)
+from .training import (TrainConfig, TrainLog, init_from_baseline,
+                       train_model)
 
 __version__ = "0.1.0"
 
@@ -26,6 +26,6 @@ __all__ = [
     "bleu", "bootstrap_significance", "score_slots", "translate_corpus",
     "ModelConfig", "TranslationModel", "VARIANTS", "load_checkpoint",
     "param_count", "save_checkpoint",
-    "TrainConfig", "TrainLog", "fine_tune_context", "pretrain_baseline",
+    "TrainConfig", "TrainLog", "init_from_baseline", "train_model",
     "__version__",
 ]

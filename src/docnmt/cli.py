@@ -17,14 +17,13 @@ import statistics
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bpe as B
 from . import corpus as C
 from . import evaluation as E
-from .model import (ModelConfig, VARIANTS, load_checkpoint, param_count,
-                    save_checkpoint)
-from .training import TrainConfig, fine_tune_context, pretrain_baseline
+from . import tensor as T
+from .model import (ModelConfig, TranslationModel, VARIANTS, load_checkpoint,
+                    param_count, save_checkpoint)
+from .training import TrainConfig, init_from_baseline, train_model
 
 DESK_PROFILE = {
     "emb_dim": 32,
@@ -171,11 +170,10 @@ def cmd_preprocess(args) -> int:
     return 0
 
 
-def _train_seeds(args, command: str, train, inputs: list) -> int:
+def _train_seeds(args, command: str, start, inputs: list) -> int:
     """Train one model per seed: checkpoint, trainlog and manifest each,
     then the best dev BLEU per seed (mean +- stdev for several seeds).
-    `train(train_docs, dev_docs, src_vocab, trg_vocab, train_cfg)` returns
-    the best model and its training log."""
+    `start(seed, src_vocab, trg_vocab)` returns the model to train."""
     src_vocab, trg_vocab = _load_vocabs(args)
     train_docs = C.load_documents(args.train_src, args.train_trg)
     dev_docs = C.load_documents(args.dev_src, args.dev_trg)
@@ -185,10 +183,10 @@ def _train_seeds(args, command: str, train, inputs: list) -> int:
     for seed in seeds:
         prefix = args.out if len(seeds) == 1 else f"{args.out}.s{seed}"
         tcfg = TrainConfig(seed=seed, epochs=args.epochs, lr=args.lr,
-                           dropout=args.dropout,
                            max_docs_per_batch=args.batch_docs,
                            grad_clip_norm=args.grad_clip)
-        best, log = train(train_docs, dev_docs, src_vocab, trg_vocab, tcfg)
+        best, log = train_model(start(seed, src_vocab, trg_vocab), train_docs,
+                                dev_docs, src_vocab, trg_vocab, tcfg)
         save_checkpoint(best, prefix)
         log.save(f"{prefix}.trainlog")
         write_manifest(prefix, command, args, seed,
@@ -207,20 +205,20 @@ def _train_seeds(args, command: str, train, inputs: list) -> int:
 
 
 def cmd_train_baseline(args) -> int:
-    def train(train_docs, dev_docs, src_vocab, trg_vocab, tcfg):
+    def start(seed, src_vocab, trg_vocab):
         cfg = ModelConfig("baseline", args.emb_dim, args.hidden_dim,
                           len(src_vocab), len(trg_vocab), dropout=args.dropout)
-        return pretrain_baseline(train_docs, dev_docs, src_vocab, trg_vocab,
-                                 cfg, tcfg)
-    return _train_seeds(args, "train-baseline", train, [])
+        return TranslationModel(cfg, rng=T.make_rng(seed, 0))
+    return _train_seeds(args, "train-baseline", start, [])
 
 
 def cmd_finetune(args) -> int:
-    def train(train_docs, dev_docs, src_vocab, trg_vocab, tcfg):
-        return fine_tune_context(load_checkpoint(args.baseline), args.variant,
-                                 train_docs, dev_docs, src_vocab, trg_vocab,
-                                 tcfg)
-    return _train_seeds(args, "finetune", train,
+    def start(seed, src_vocab, trg_vocab):
+        model = init_from_baseline(load_checkpoint(args.baseline),
+                                   args.variant, T.make_rng(seed, 3))
+        model.cfg.dropout = args.dropout   # overrides the checkpoint's
+        return model
+    return _train_seeds(args, "finetune", start,
                         [f"{args.baseline}.manifest", f"{args.baseline}.bin"])
 
 

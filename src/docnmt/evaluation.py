@@ -177,6 +177,8 @@ def translate_corpus(model: TranslationModel, docs: Sequence[C.Document],
     """Translate documents in order; returns subword-token hypotheses."""
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
+    if batch_docs < 1:
+        raise ValueError(f"batch_docs must be >= 1, got {batch_docs}")
     stats = TranslationStats()
     hyps: list[list[list[str]]] = []
     for start in range(0, len(docs), batch_docs):
@@ -287,6 +289,8 @@ def bootstrap_significance(hyps_a: Sequence[Sequence[str]],
     """
     if not (len(hyps_a) == len(hyps_b) == len(refs)):
         raise ValueError("system outputs and references must align")
+    if n_resamples < 1:
+        raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
     n_sents = len(refs)
     stats_a = np.stack([sentence_stats(h, r) for h, r in zip(hyps_a, refs)])
     stats_b = np.stack([sentence_stats(h, r) for h, r in zip(hyps_b, refs)])

@@ -1,4 +1,10 @@
-"""Two-phase training: baseline pretraining, then context fine-tuning.
+"""One training loop for both phases: baseline pretraining and context
+fine-tuning.
+
+`train_model` trains the model it is handed: a fresh baseline seeded with
+`T.make_rng(seed, 0)`, or a context variant that `init_from_baseline`
+starts from a pretrained baseline, its new context weights drawn from
+`T.make_rng(seed, 3)`.  Dropout is a model setting (`ModelConfig.dropout`).
 
 Each batch walks its documents position by position, so sentence i-1's
 states are in hand (as gold, teacher-forced context) before sentence i is
@@ -10,10 +16,11 @@ context for the variants that need one.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,8 +28,7 @@ from . import corpus as C
 from . import evaluation as E
 from . import tensor as T
 from .bpe import Vocabulary
-from .model import (ModelConfig, TranslationModel, VARIANTS,
-                    parameter_shapes, _init_param)
+from .model import TranslationModel, parameter_shapes, _init_param
 
 
 class TrainingDiverged(RuntimeError):
@@ -33,7 +39,6 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     epochs: int = 30
     lr: float = 0.01
-    dropout: float = 0.2
     max_docs_per_batch: int = 128
     grad_clip_norm: float = 5.0
     seed: int = 0
@@ -43,6 +48,12 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
+        if self.max_docs_per_batch < 1:
+            raise ValueError("max_docs_per_batch must be >= 1, got "
+                             f"{self.max_docs_per_batch}")
+        if self.grad_clip_norm <= 0:
+            raise ValueError("grad_clip_norm must be positive, got "
+                             f"{self.grad_clip_norm}")
 
 
 @dataclass
@@ -70,18 +81,6 @@ class TrainLog:
             for r in self.records:
                 f.write(f"{r.epoch}\t{r.loss:.6f}\t{r.dev_bleu:.4f}\t{r.seconds:.3f}\n")
 
-    @classmethod
-    def load(cls, path) -> "TrainLog":
-        records = []
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                e, loss, bleu, secs = line.rstrip("\n").split("\t")
-                records.append(EpochRecord(int(e), float(loss), float(bleu),
-                                           float(secs)))
-        return cls(records)
-
 
 def _dev_bleu(model, dev_docs, src_vocab, trg_vocab) -> float:
     """Greedy-decode the dev set and score BLEU on de-segmented text.
@@ -103,14 +102,14 @@ def _dev_bleu(model, dev_docs, src_vocab, trg_vocab) -> float:
 def train_model(model: TranslationModel, train_docs: Sequence[C.Document],
                 dev_docs: Sequence[C.Document], src_vocab: Vocabulary,
                 trg_vocab: Vocabulary, cfg: TrainConfig,
-                grad_hook: Optional[Callable[[TranslationModel], None]] = None,
                 ) -> tuple[TranslationModel, TrainLog]:
-    """Train in place; returns (best-dev model, per-epoch log).
-
-    `grad_hook` runs after each batch's backward pass and may zero
-    gradients (e.g. to freeze the context branch).
-    """
-    model.cfg.dropout = cfg.dropout
+    """Train in place; returns (best-dev model, per-epoch log)."""
+    sizes = (len(src_vocab), len(trg_vocab))
+    if sizes != (model.cfg.src_vocab_size, model.cfg.trg_vocab_size):
+        raise ValueError(
+            f"vocabulary sizes (source {sizes[0]}, target {sizes[1]}) do not "
+            f"match the model's (source {model.cfg.src_vocab_size}, "
+            f"target {model.cfg.trg_vocab_size})")
     params = model.param_list()
     opt = T.AdaGrad(params, lr=cfg.lr)
     shuffle_rng = T.make_rng(cfg.seed, 1)
@@ -141,8 +140,6 @@ def train_model(model: TranslationModel, train_docs: Sequence[C.Document],
             for p in params:
                 if p.grad is not None:
                     p.grad *= scale
-            if grad_hook is not None:
-                grad_hook(model)
             norm = T.clip_global_norm(params, cfg.grad_clip_norm)
             if not math.isfinite(norm):
                 raise TrainingDiverged(
@@ -161,15 +158,6 @@ def train_model(model: TranslationModel, train_docs: Sequence[C.Document],
     return best, log
 
 
-def pretrain_baseline(train_docs, dev_docs, src_vocab: Vocabulary,
-                      trg_vocab: Vocabulary, model_cfg: ModelConfig,
-                      cfg: TrainConfig) -> tuple[TranslationModel, TrainLog]:
-    if model_cfg.variant != "baseline":
-        raise ValueError("pretraining runs the baseline variant")
-    model = TranslationModel(model_cfg, rng=T.make_rng(cfg.seed, 0))
-    return train_model(model, train_docs, dev_docs, src_vocab, trg_vocab, cfg)
-
-
 def init_from_baseline(baseline: TranslationModel, variant: str,
                        rng: np.random.Generator) -> TranslationModel:
     """Start a context variant from baseline weights.
@@ -178,14 +166,9 @@ def init_from_baseline(baseline: TranslationModel, variant: str,
     is zero so the new model initially reproduces the baseline exactly;
     separated variants' context LSTM starts from fresh random weights.
     """
-    if variant not in VARIANTS or variant == "baseline":
+    if variant == "baseline":
         raise ValueError(f"not a context variant: {variant}")
-    base_cfg = baseline.cfg
-    cfg = ModelConfig(variant=variant, emb_dim=base_cfg.emb_dim,
-                      hidden_dim=base_cfg.hidden_dim,
-                      src_vocab_size=base_cfg.src_vocab_size,
-                      trg_vocab_size=base_cfg.trg_vocab_size,
-                      dropout=base_cfg.dropout)
+    cfg = dataclasses.replace(baseline.cfg, variant=variant)
     h = cfg.hidden_dim
     params: dict[str, T.Tensor] = {}
     for name, shape in parameter_shapes(cfg).items():
@@ -199,28 +182,3 @@ def init_from_baseline(baseline: TranslationModel, variant: str,
             params[name] = T.Tensor(baseline.params[name].data.copy(),
                                     requires_grad=True)
     return TranslationModel(cfg, params=params, dtype=baseline.dtype)
-
-
-def context_freeze_hook(model: TranslationModel) -> None:
-    """Zero the gradients of everything the baseline does not have."""
-    h = model.cfg.hidden_dim
-    attn = model.params["attn_out"]
-    if attn.grad is not None:
-        attn.grad[2 * h:] = 0.0
-    for name, p in model.params.items():
-        if name.startswith("ctx_") and p.grad is not None:
-            p.grad[:] = 0.0
-
-
-def fine_tune_context(baseline: TranslationModel, variant: str, train_docs,
-                      dev_docs, src_vocab: Vocabulary, trg_vocab: Vocabulary,
-                      cfg: TrainConfig, freeze_context: bool = False,
-                      ) -> tuple[TranslationModel, TrainLog]:
-    """Fine-tune a context variant from a pretrained baseline."""
-    if len(src_vocab) != baseline.cfg.src_vocab_size \
-            or len(trg_vocab) != baseline.cfg.trg_vocab_size:
-        raise ValueError("vocabulary sizes do not match the baseline checkpoint")
-    model = init_from_baseline(baseline, variant, T.make_rng(cfg.seed, 3))
-    hook = context_freeze_hook if freeze_context else None
-    return train_model(model, train_docs, dev_docs, src_vocab, trg_vocab, cfg,
-                       grad_hook=hook)

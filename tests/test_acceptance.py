@@ -23,7 +23,7 @@ from docnmt import evaluation as E
 from docnmt import tensor as T
 from docnmt.model import (ModelConfig, Previous, TranslationModel, VARIANTS,
                           context_attention, param_count)
-from docnmt.training import TrainConfig, fine_tune_context, pretrain_baseline
+from docnmt.training import TrainConfig, init_from_baseline, train_model
 
 from minigraphs import build_minigraph
 from model_helpers import position_cache, tiny_task, variant_family
@@ -85,10 +85,12 @@ def _run_seed(mode: str, variant: str, seed: int):
     started = time.monotonic()
     base_cfg = ModelConfig("baseline", DESK["emb_dim"], DESK["hidden_dim"],
                            len(src_v), len(trg_v))
-    baseline, _ = pretrain_baseline(train_s, dev_s, src_v, trg_v, base_cfg,
-                                    tcfg)
-    context, _ = fine_tune_context(baseline, variant, train_s, dev_s, src_v,
-                                   trg_v, tcfg)
+    baseline, _ = train_model(
+        TranslationModel(base_cfg, rng=T.make_rng(seed, 0)),
+        train_s, dev_s, src_v, trg_v, tcfg)
+    context, _ = train_model(
+        init_from_baseline(baseline, variant, T.make_rng(seed, 3)),
+        train_s, dev_s, src_v, trg_v, tcfg)
     gold = variant in ("shared-target", "shared-mix", "separated-target")
     base_bleu, base_slots, base_h, refs = _score(
         baseline, test_s, test_docs, test_meta, src_v, trg_v, gold)

@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from docnmt import bpe as B
 from docnmt import cli
 from docnmt import corpus as C
 from docnmt import evaluation as E
@@ -112,6 +113,44 @@ class TestTraining:
         assert (models / "st.s1.bin").exists()
         assert (models / "st.s2.bin").exists()
 
+    def test_finetune_dropout_overrides_the_baseline(self, pipeline, tmp_path):
+        _, _, _, models, common = pipeline
+        run_ok(["finetune", *common, "--variant", "shared-source",
+                "--baseline", str(models / "base"), "--epochs", "1",
+                "--dropout", "0.1", "--out", str(tmp_path / "ss")])
+        assert "dropout=0.2" in \
+            (models / "base.manifest").read_text().splitlines()
+        assert "dropout=0.1" in \
+            (tmp_path / "ss.manifest").read_text().splitlines()
+
+    def test_finetune_vocabulary_size_mismatch_names_both_sizes(
+            self, pipeline, tmp_path):
+        _, _, prep, models, common = pipeline
+        n = len(B.Vocabulary.load(prep / "syn.vocab.trg"))
+        bigger = tmp_path / "bigger.vocab.trg"
+        bigger.write_text((prep / "syn.vocab.trg").read_text()
+                          + "unseen-token\n")
+        with pytest.raises(ValueError,
+                           match=rf"target {n + 1}\).*target {n}\)"):
+            cli.run(["finetune", *common, "--trg-vocab", str(bigger),
+                     "--variant", "shared-target", "--epochs", "1",
+                     "--baseline", str(models / "base"),
+                     "--out", str(tmp_path / "st")])
+        assert not (tmp_path / "st.bin").exists()
+
+    @pytest.mark.parametrize("flag,value,setting", [
+        ("--batch-docs", "-2", "max_docs_per_batch"),
+        ("--grad-clip", "0", "grad_clip_norm")])
+    def test_non_positive_setting_rejected_before_training(
+            self, pipeline, tmp_path, flag, value, setting):
+        # -2 documents per batch would write an untrained checkpoint, and
+        # a clip norm of 0 would turn clipping off
+        _, _, _, _, common = pipeline
+        with pytest.raises(ValueError, match=setting):
+            cli.run(["train-baseline", *common, flag, value, "--epochs", "1",
+                     "--out", str(tmp_path / "base")])
+        assert not (tmp_path / "base.bin").exists()
+
 
 class TestTranslateEvaluateCompare:
     def test_round_trip(self, pipeline, capsys):
@@ -138,6 +177,9 @@ class TestTranslateEvaluateCompare:
                 "--n", "50", "--seed", "3"])
         out = capsys.readouterr().out
         assert "p = 1.0000" in out
+        with pytest.raises(ValueError, match="n_resamples must be >= 1"):
+            cli.run(["compare", str(hyp), str(hyp), str(data / "test.trg"),
+                     "--n", "0"])
 
     def test_gold_context_translation(self, pipeline, capsys):
         root, _, prep, models, _ = pipeline

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from docnmt import bpe as B
 from docnmt import corpus as C
@@ -78,6 +79,13 @@ class TestBleu:
 
 
 class TestBootstrap:
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_non_positive_resamples_rejected(self, n):
+        # 0 would divide by zero in the p-value
+        hyps = [["a", "b"], ["c"]]
+        with pytest.raises(ValueError, match=rf"n_resamples .*got {n}"):
+            E.bootstrap_significance(hyps, hyps, hyps, n_resamples=n)
+
     def test_identical_systems_p_is_one(self):
         hyps = [["a", "b", "c"], ["d", "e"]] * 5
         refs = [["a", "b", "x"], ["d", "y"]] * 5
@@ -167,6 +175,16 @@ class TestTranslate:
         with pytest.raises(ValueError):
             E.translate_corpus(model, seg, src_v, trg_v, beam_size=0)
 
+    @pytest.mark.parametrize("batch_docs", [0, -1])
+    def test_non_positive_batch_docs_rejected(self, task, batch_docs):
+        # -1 would return no hypotheses without an error
+        _, seg, _, src_v, trg_v = task
+        model = TranslationModel(
+            ModelConfig("baseline", 12, 12, len(src_v), len(trg_v)),
+            rng=T.make_rng(11, 0))
+        with pytest.raises(ValueError, match=rf"batch_docs .*got {batch_docs}"):
+            E.translate_corpus(model, seg, src_v, trg_v, batch_docs=batch_docs)
+
     @pytest.mark.parametrize("variant", ["shared-source", "shared-target"])
     def test_cache_hits_equal_sentence_count_minus_one(self, task, variant):
         _, seg, _, src_v, trg_v = task
@@ -217,20 +235,24 @@ class TestTranslate:
 
     @pytest.mark.parametrize("gold", [False, True])
     @pytest.mark.parametrize("beam", [1, 4])
+    @settings(max_examples=20, deadline=None)
+    @given(variant=st.sampled_from(VARIANTS), data=st.data())
     def test_batched_and_per_document_translation_agree(self, task, beam,
-                                                        gold):
+                                                        gold, variant, data):
+        """Any subset of the documents, in any order and batched by any
+        `batch_docs`, translates as each document does alone."""
         _, seg, _, src_v, trg_v = task
-        model = eos_prone_model("shared-target", src_v, trg_v, seed=15)
-        batched, _ = E.translate_corpus(model, seg, src_v, trg_v,
+        docs = [seg[i] for i in data.draw(st.lists(
+            st.integers(0, len(seg) - 1), min_size=1, unique=True))]
+        batch_docs = data.draw(st.integers(1, len(docs)))
+        model = eos_prone_model(variant, src_v, trg_v, seed=15)
+        batched, _ = E.translate_corpus(model, docs, src_v, trg_v,
                                         beam_size=beam, gold_context=gold,
-                                        batch_docs=len(seg))
-        pairs, _ = E.translate_corpus(model, seg, src_v, trg_v,
-                                      beam_size=beam, gold_context=gold,
-                                      batch_docs=2)
-        single, _ = E.translate_corpus(model, seg, src_v, trg_v,
-                                       beam_size=beam, gold_context=gold,
-                                       batch_docs=1)
-        assert batched == pairs == single
+                                        batch_docs=batch_docs)
+        alone = [E.translate_corpus(model, [doc], src_v, trg_v,
+                                    beam_size=beam, gold_context=gold)[0][0]
+                 for doc in docs]
+        assert batched == alone
 
     def test_gold_context_accepts_documents_with_gold_targets(self, task):
         _, seg, _, src_v, trg_v = task

@@ -36,6 +36,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TR.TrainConfig(lr=0.0)
 
+    @pytest.mark.parametrize("setting,value", [
+        ("max_docs_per_batch", 0), ("max_docs_per_batch", -2),
+        ("grad_clip_norm", 0.0), ("grad_clip_norm", -1.0)])
+    def test_non_positive_batch_and_clip_rejected(self, setting, value):
+        # -2 documents per batch would train nothing, and a clip norm <= 0
+        # would turn clipping off, both silently
+        with pytest.raises(ValueError, match=rf"{setting} .*got {value}"):
+            TR.TrainConfig(**{setting: value})
+
 
 class TestSelectBest:
     """`TrainLog.best_epoch` is the one rule `train_model` snapshots by."""
@@ -76,13 +85,13 @@ class TestSelectBest:
 
 class TestTrainLogFile:
     def test_round_trip(self, tmp_path):
+        """One `epoch<TAB>loss<TAB>dev_bleu<TAB>seconds` line per epoch."""
         log = TR.TrainLog([TR.EpochRecord(1, 2.5, 10.0, 3.25),
                            TR.EpochRecord(2, 1.25, 12.5, 3.5)])
         path = tmp_path / "log.tsv"
         log.save(path)
-        loaded = TR.TrainLog.load(path)
-        assert [(r.epoch, r.loss, r.dev_bleu) for r in loaded.records] == \
-            [(r.epoch, r.loss, r.dev_bleu) for r in log.records]
+        assert path.read_text(encoding="utf-8") == \
+            "1\t2.500000\t10.0000\t3.250\n2\t1.250000\t12.5000\t3.500\n"
 
 
 class TestPretrain:
@@ -100,7 +109,9 @@ class TestPretrain:
         docs, vocab = copy_corpus()
         mcfg = ModelConfig("baseline", 32, 32, len(vocab), len(vocab))
         tcfg = TR.TrainConfig(epochs=60, lr=0.1, max_docs_per_batch=1, seed=5)
-        best, log = TR.pretrain_baseline(docs, docs, vocab, vocab, mcfg, tcfg)
+        best, log = TR.train_model(
+            TranslationModel(mcfg, rng=T.make_rng(tcfg.seed, 0)),
+            docs, docs, vocab, vocab, tcfg)
         assert log.records[-1].loss < 0.1
         assert max(r.dev_bleu for r in log.records) > 99.0
 
@@ -108,8 +119,9 @@ class TestPretrain:
         seg, src_v, trg_v = synth_setup
         mcfg = ModelConfig("baseline", 16, 16, len(src_v), len(trg_v))
         tcfg = TR.TrainConfig(epochs=2, lr=0.1, max_docs_per_batch=4, seed=9)
-        _, log_a = TR.pretrain_baseline(seg, seg, src_v, trg_v, mcfg, tcfg)
-        _, log_b = TR.pretrain_baseline(seg, seg, src_v, trg_v, mcfg, tcfg)
+        log_a, log_b = (
+            TR.train_model(TranslationModel(mcfg, rng=T.make_rng(tcfg.seed, 0)),
+                           seg, seg, src_v, trg_v, tcfg)[1] for _ in range(2))
         assert [(r.loss, r.dev_bleu) for r in log_a.records] == \
             [(r.loss, r.dev_bleu) for r in log_b.records]
 
@@ -124,28 +136,24 @@ class TestPretrain:
         with pytest.raises(TR.TrainingDiverged, match="epoch 1"):
             TR.train_model(model, seg, seg, src_v, trg_v, tcfg)
 
-    def test_non_finite_gradient_stops_before_the_update(self, synth_setup):
+    def test_non_finite_gradient_stops_before_the_update(self, synth_setup,
+                                                         monkeypatch):
         seg, src_v, trg_v = synth_setup
         model = TranslationModel(
             ModelConfig("baseline", 16, 16, len(src_v), len(trg_v)),
             rng=T.make_rng(1, 0))
+        original = T.clip_global_norm
 
-        def poison(m):
-            m.params["out_proj"].grad[0, 0] = np.nan
+        def poison(params, max_norm):
+            model.params["out_proj"].grad[0, 0] = np.nan
+            return original(params, max_norm)
 
+        monkeypatch.setattr(TR.T, "clip_global_norm", poison)
         tcfg = TR.TrainConfig(epochs=1, lr=0.1, max_docs_per_batch=4, seed=1)
         with pytest.raises(TR.TrainingDiverged, match=r"epoch 1, batch 0$"):
-            TR.train_model(model, seg, seg, src_v, trg_v, tcfg,
-                           grad_hook=poison)
+            TR.train_model(model, seg, seg, src_v, trg_v, tcfg)
         for p in model.param_list():
             assert np.isfinite(p.data).all()
-
-    def test_non_baseline_config_rejected(self, synth_setup):
-        seg, src_v, trg_v = synth_setup
-        mcfg = ModelConfig("shared-target", 16, 16, len(src_v), len(trg_v))
-        with pytest.raises(ValueError):
-            TR.pretrain_baseline(seg, seg, src_v, trg_v, mcfg,
-                                 TR.TrainConfig(epochs=1))
 
 
 class TestGradientClipping:
@@ -217,8 +225,8 @@ def baseline(synth_setup):
     seg, src_v, trg_v = synth_setup
     mcfg = ModelConfig("baseline", 16, 16, len(src_v), len(trg_v))
     tcfg = TR.TrainConfig(epochs=3, lr=0.1, max_docs_per_batch=4, seed=6)
-    best, log = TR.pretrain_baseline(seg, seg, src_v, trg_v, mcfg, tcfg)
-    return best, log
+    return TR.train_model(TranslationModel(mcfg, rng=T.make_rng(tcfg.seed, 0)),
+                          seg, seg, src_v, trg_v, tcfg)
 
 
 class TestFineTune:
@@ -243,9 +251,9 @@ class TestFineTune:
         for variant in VARIANTS:
             if variant == "baseline":
                 continue
-            loaded = load_checkpoint(prefix)
-            best, log = TR.fine_tune_context(loaded, variant, seg, seg,
-                                             src_v, trg_v, tcfg)
+            model = TR.init_from_baseline(load_checkpoint(prefix), variant,
+                                          T.make_rng(tcfg.seed, 3))
+            best, log = TR.train_model(model, seg, seg, src_v, trg_v, tcfg)
             assert best.cfg.variant == variant
             assert len(log.records) == 1
 
@@ -256,22 +264,27 @@ class TestFineTune:
         prefix = str(tmp_path / "frozen")
         save_checkpoint(base, prefix)
         before = (tmp_path / "frozen.bin").read_bytes()
-        loaded = load_checkpoint(prefix)
-        TR.fine_tune_context(loaded, "shared-target", seg, seg, src_v, trg_v,
-                             TR.TrainConfig(epochs=1, lr=0.1,
-                                            max_docs_per_batch=4, seed=8))
+        model = TR.init_from_baseline(load_checkpoint(prefix), "shared-target",
+                                      T.make_rng(8, 3))
+        TR.train_model(model, seg, seg, src_v, trg_v,
+                       TR.TrainConfig(epochs=1, lr=0.1, max_docs_per_batch=4,
+                                      seed=8))
         assert (tmp_path / "frozen.bin").read_bytes() == before
 
     def test_vocab_mismatch_rejected(self, synth_setup, baseline):
         seg, src_v, trg_v = synth_setup
         base, _ = baseline
         small = B.build_vocab([["a"]])
-        with pytest.raises(ValueError):
-            TR.fine_tune_context(base, "shared-target", seg, seg, small,
-                                 trg_v, TR.TrainConfig(epochs=1))
+        model = TR.init_from_baseline(base, "shared-target", T.make_rng(0, 3))
+        with pytest.raises(ValueError, match=(
+                rf"source {len(small)}, target {len(trg_v)}\) do not match "
+                rf"the model's \(source {len(src_v)}, target {len(trg_v)}\)")):
+            TR.train_model(model, seg, seg, small, trg_v,
+                           TR.TrainConfig(epochs=1))
 
     def test_frozen_zero_context_matches_continued_baseline(self, synth_setup,
-                                                            baseline):
+                                                            baseline,
+                                                            monkeypatch):
         seg, src_v, trg_v = synth_setup
         base, _ = baseline
         tcfg = TR.TrainConfig(epochs=3, lr=0.1, max_docs_per_batch=4, seed=11)
@@ -280,9 +293,21 @@ class TestFineTune:
             base.cfg, params={n: T.Tensor(p.data.copy(), requires_grad=True)
                               for n, p in base.params.items()})
         _, log_base = TR.train_model(cont, seg, seg, src_v, trg_v, tcfg)
-        _, log_frozen = TR.fine_tune_context(base, "shared-target", seg, seg,
-                                             src_v, trg_v, tcfg,
-                                             freeze_context=True)
+
+        frozen = TR.init_from_baseline(base, "shared-target",
+                                       T.make_rng(tcfg.seed, 3))
+        original = T.clip_global_norm
+
+        def freeze(params, max_norm):
+            """Zero the gradients of everything the baseline does not have."""
+            frozen.params["attn_out"].grad[2 * base.cfg.hidden_dim:] = 0.0
+            for name, p in frozen.params.items():
+                if name.startswith("ctx_") and p.grad is not None:
+                    p.grad[:] = 0.0
+            return original(params, max_norm)
+
+        monkeypatch.setattr(TR.T, "clip_global_norm", freeze)
+        _, log_frozen = TR.train_model(frozen, seg, seg, src_v, trg_v, tcfg)
         for rb, rf in zip(log_base.records, log_frozen.records):
             np.testing.assert_allclose(rf.loss, rb.loss, rtol=1e-5)
             np.testing.assert_allclose(rf.dev_bleu, rb.dev_bleu, atol=1e-9)
