@@ -38,18 +38,6 @@ class BpeModel:
             for left, right in self.merges:
                 f.write(f"{left} {right}\n")
 
-    @classmethod
-    def load(cls, path) -> "BpeModel":
-        merges = []
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                left, right = line.split(" ")
-                merges.append((left, right))
-        return cls(merges)
-
     def segment_word(self, word: str) -> tuple[str, ...]:
         """Split one word into subword pieces (without @@ markers)."""
         cached = self._cache.get(word)
@@ -132,14 +120,10 @@ def apply_bpe(tokens: Sequence[str], model: BpeModel) -> list[str]:
 
 def remove_bpe(tokens: Sequence[str]) -> list[str]:
     """Invert apply_bpe: glue @@-marked pieces back into words."""
-    return remove_bpe_text(" ".join(tokens)).split()
-
-
-def remove_bpe_text(text: str) -> str:
-    text = text.replace(CONT + " ", "")
+    text = " ".join(tokens).replace(CONT + " ", "")
     if text.endswith(CONT):
         text = text[: -len(CONT)]
-    return text
+    return text.split()
 
 
 class Vocabulary:
@@ -153,9 +137,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
 
     def encode(self, tokens: Sequence[str]) -> list[int]:
         get = self.token_to_id.get

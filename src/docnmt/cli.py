@@ -1,8 +1,9 @@
 """Command-line interface for the full experiment lifecycle.
 
 Subcommands: synth, preprocess, train-baseline, finetune, translate,
-evaluate, compare, params.  Values resolve as CLI flag > config file >
-desk-scale default; config files are flat `key = value` text.  Every
+evaluate, compare, params; each takes only the flags it reads.  Values
+resolve as CLI flag > config file > desk-scale default; config files are
+flat `key = value` text over `DESK_PROFILE` keys.  Every
 artifact-producing command writes a JSON manifest (command, settings,
 seed, input hashes, output paths) next to its primary output, with no
 timestamps, so reruns with the same seed are byte-identical.
@@ -43,14 +44,16 @@ DESK_PROFILE = {
 def read_config(path) -> dict[str, str]:
     values = {}
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ValueError(f"bad config line: {line!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq:
+                raise ValueError(f"{path}, line {number}: no '=' in {line!r}")
+            if key not in DESK_PROFILE:
+                raise ValueError(f"{path}, line {number}: unknown key {key!r}")
+            values[key] = value
     return values
 
 
@@ -91,11 +94,11 @@ def _flatten(blocks):
 
 
 def cmd_synth(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     cfg = C.SynthConfig(mode=args.mode, num_documents=args.docs,
                         sentences_per_doc=(args.min_sents, args.max_sents),
                         num_fillers=args.fillers, seed=args.seed)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     docs, metas = C.generate_synthetic(cfg)
     src_path = out_dir / f"{args.name}.src"
     trg_path = out_dir / f"{args.name}.trg"
@@ -120,6 +123,11 @@ def _reject_bpe_marker(path) -> None:
 
 
 def cmd_preprocess(args) -> int:
+    extras = {"dev": (args.dev_src, args.dev_trg),
+              "test": (args.test_src, args.test_trg)}
+    for tag, pair in extras.items():
+        if pair.count(None) == 1:
+            raise ValueError(f"--{tag}-src and --{tag}-trg go together")
     for path in (args.train_src, args.train_trg, args.dev_src, args.dev_trg,
                  args.test_src, args.test_trg):
         if path:
@@ -147,10 +155,8 @@ def cmd_preprocess(args) -> int:
 
     emit("train", train_seg)
     inputs = [args.train_src, args.train_trg]
-    for tag in ("dev", "test"):
-        src_arg = getattr(args, f"{tag}_src")
-        trg_arg = getattr(args, f"{tag}_trg")
-        if src_arg and trg_arg:
+    for tag, (src_arg, trg_arg) in extras.items():
+        if src_arg:
             extra = C.load_documents(src_arg, trg_arg)
             emit(tag, C.segment_documents(extra, src_model, trg_model))
             inputs.extend([src_arg, trg_arg])
@@ -177,8 +183,7 @@ def _train_seeds(args, command: str, start, inputs: list) -> int:
     src_vocab, trg_vocab = _load_vocabs(args)
     train_docs = C.load_documents(args.train_src, args.train_trg)
     dev_docs = C.load_documents(args.dev_src, args.dev_trg)
-    seeds_arg = args.seeds if args.seeds is not None else str(args.seed)
-    seeds = [int(x) for x in seeds_arg.split(",")]
+    seeds = [int(x) for x in args.seed.split(",")]
     scores = {}
     for seed in seeds:
         prefix = args.out if len(seeds) == 1 else f"{args.out}.s{seed}"
@@ -234,7 +239,7 @@ def cmd_translate(args) -> int:
                                      beam_size=args.beam,
                                      gold_context=bool(args.gold_context))
     out = Path(args.out)
-    C.save_blocks([[E.debpe(sent) for sent in doc] for doc in hyps], out)
+    C.save_blocks([[B.remove_bpe(sent) for sent in doc] for doc in hyps], out)
     inputs = [args.src, f"{args.ckpt}.manifest", f"{args.ckpt}.bin",
               args.src_vocab, args.trg_vocab]
     if args.gold_context:
@@ -313,14 +318,15 @@ def cmd_params(args) -> int:
 # argument parsing
 
 
-def _add_common(p, out_dir=False):
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=0)
-    if out_dir:
-        p.add_argument("--out-dir", default=".")
+def _seed_list(text: str) -> str:
+    """`--seed 4` or `--seed 1,2,3`, checked and kept as text for manifests."""
+    return ",".join(str(int(seed)) for seed in text.split(","))
 
 
 def _add_train_args(p):
+    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument("--seed", type=_seed_list, default="0", help="one seed, or "
+                   "comma-separated seeds for per-seed runs and a mean +- stdev")
     p.add_argument("--train-src", required=True)
     p.add_argument("--train-trg", required=True)
     p.add_argument("--dev-src", required=True)
@@ -328,9 +334,6 @@ def _add_train_args(p):
     p.add_argument("--src-vocab", required=True)
     p.add_argument("--trg-vocab", required=True)
     p.add_argument("--out", required=True, help="checkpoint path prefix")
-    p.add_argument("--seeds", default=None,
-                   help="comma-separated seeds; multi-seed runs emit "
-                        "per-seed artifacts and a mean +- stdev summary")
     for name in ("epochs", "batch_docs"):
         p.add_argument(f"--{name.replace('_', '-')}", type=int, default=None)
     for name in ("lr", "dropout", "grad_clip"):
@@ -344,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic context corpus")
-    _add_common(p, out_dir=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out-dir", default=".")
     p.add_argument("--mode", required=True,
                    choices=["trg-informative", "src-informative"])
     p.add_argument("--docs", type=int, required=True)
@@ -356,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preprocess",
                        help="filter, learn and apply BPE, build vocabularies")
-    _add_common(p, out_dir=True)
+    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument("--out-dir", default=".")
     p.add_argument("--train-src", required=True)
     p.add_argument("--train-trg", required=True)
     p.add_argument("--dev-src")
@@ -369,7 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_preprocess)
 
     p = sub.add_parser("train-baseline", help="pretrain the baseline variant")
-    _add_common(p)
     _add_train_args(p)
     p.add_argument("--emb-dim", type=int, default=None)
     p.add_argument("--hidden-dim", type=int, default=None)
@@ -377,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("finetune",
                        help="fine-tune a context variant from a baseline")
-    _add_common(p)
     _add_train_args(p)
     p.add_argument("--variant", required=True,
                    choices=[v for v in VARIANTS if v != "baseline"])
@@ -386,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_finetune)
 
     p = sub.add_parser("translate", help="translate a segmented source file")
-    _add_common(p)
+    p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--src", required=True, help="BPE-segmented source documents")
     p.add_argument("--src-vocab", required=True)
@@ -399,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_translate)
 
     p = sub.add_parser("evaluate", help="corpus BLEU (and slot metrics)")
-    _add_common(p)
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
     p.add_argument("--meta", default=None,
@@ -409,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare",
                        help="paired bootstrap significance of B over A")
-    _add_common(p)
+    p.add_argument("--config", help="flat key=value config file")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("hyp_a")
     p.add_argument("hyp_b")
     p.add_argument("refs")
@@ -418,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("params", help="parameter counts for all six variants")
-    _add_common(p)
+    p.add_argument("--config", help="flat key=value config file")
     p.add_argument("--emb-dim", type=int, default=None)
     p.add_argument("--hidden-dim", type=int, default=None)
     p.add_argument("--src-vocab", default=None)
@@ -433,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # flag > config file > desk default, for each setting this subcommand has
-    config = read_config(args.config) if args.config else {}
+    config = read_config(args.config) if getattr(args, "config", None) else {}
     for name, default in DESK_PROFILE.items():
         if hasattr(args, name) and getattr(args, name) is None:
             setattr(args, name, type(default)(config.get(name, default)))
@@ -445,8 +448,6 @@ def main() -> None:
         sys.exit(run())
     except BrokenPipeError:
         sys.exit(1)
-    except SystemExit:
-        raise
     except Exception as exc:  # runtime failure -> exit 1 with a message
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)

@@ -276,6 +276,10 @@ class SynthConfig:
         lo, hi = self.sentences_per_doc
         if lo < 2 or hi < lo:
             raise ValueError("sentences_per_doc must satisfy 2 <= lo <= hi")
+        for name in ("num_documents", "num_fillers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got "
+                                 f"{getattr(self, name)}")
 
 
 @dataclass

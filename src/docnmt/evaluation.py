@@ -26,7 +26,6 @@ from . import tensor as T
 from .bpe import Vocabulary
 from .model import CONTEXTS, EncoderStates, Previous, TranslationModel
 
-debpe = B.remove_bpe
 MAX_RATIO = 2.0  # a hypothesis ends by this many times its source length
 
 

@@ -66,6 +66,11 @@ class ModelConfig:
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant: {self.variant}")
+        for name in ("emb_dim", "hidden_dim", "src_vocab_size",
+                     "trg_vocab_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got "
+                                 f"{getattr(self, name)}")
         if self.hidden_dim % 2 != 0:
             raise ValueError("hidden_dim must be even (bidirectional halves)")
 
@@ -304,7 +309,7 @@ class TranslationModel:
         h_top = carry[1][0]
         h_tilde, alpha, betas = self._readout(h_top, enc, context)
         logits = T.matmul(h_tilde, self.params["out_proj"])
-        return StepResult(probs=T.softmax(logits, axis=-1), carry=carry,
+        return StepResult(probs=T.softmax(logits), carry=carry,
                           h_top=h_top, alpha=alpha, betas=betas)
 
     def _recurrence(self, enc: EncoderStates, trg_in: np.ndarray, rng=None):
@@ -386,7 +391,7 @@ def save_checkpoint(model: TranslationModel, prefix: str) -> None:
             f.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
 
 
-def load_checkpoint(prefix: str, dtype=np.float32) -> TranslationModel:
+def load_checkpoint(prefix: str) -> TranslationModel:
     """Read a checkpoint, checking its parameters against its config."""
     fields: dict[str, str] = {}
     order: list[tuple[str, tuple[int, ...]]] = []
@@ -437,6 +442,6 @@ def load_checkpoint(prefix: str, dtype=np.float32) -> TranslationModel:
     for name, shape in shapes.items():
         size = int(np.prod(shape))
         chunk = blob[offset:offset + size].reshape(shape)
-        params[name] = T.Tensor(chunk, requires_grad=True, dtype=dtype)
+        params[name] = T.Tensor(chunk, requires_grad=True)
         offset += size
-    return TranslationModel(cfg, params=params, dtype=dtype)
+    return TranslationModel(cfg, params=params)

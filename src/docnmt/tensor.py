@@ -211,30 +211,28 @@ def tanh(x: Tensor) -> Tensor:
     return _make((x,), bw, t)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stable softmax along `axis`; rows sum to 1."""
+def softmax(x: Tensor) -> Tensor:
+    """Numerically stable softmax along the last axis; rows sum to 1."""
     if np.isnan(x.data).any():
         raise ValueError("softmax received NaN input")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    s = e / e.sum(axis=axis, keepdims=True)
+    s = e / e.sum(axis=-1, keepdims=True)
 
     def bw(out):
         g = out.grad
-        dot = (g * s).sum(axis=axis, keepdims=True)
+        dot = (g * s).sum(axis=-1, keepdims=True)
         x.accumulate_grad(s * (g - dot), owned=True)
 
     return _make((x,), bw, s)
 
 
-def reduce_sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(x: Tensor) -> Tensor:
     def bw(out):
-        g = out.grad
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        x.accumulate_grad(np.broadcast_to(g, x.shape).copy(), owned=True)
+        x.accumulate_grad(np.broadcast_to(out.grad, x.shape).copy(),
+                          owned=True)
 
-    return _make((x,), bw, x.data.sum(axis=axis, keepdims=keepdims))
+    return _make((x,), bw, x.data.sum())
 
 
 def mean(x: Tensor) -> Tensor:
@@ -321,7 +319,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,
-                  mask: Optional[np.ndarray] = None) -> Tensor:
+                  mask: np.ndarray) -> Tensor:
     """Mean negative log-likelihood over unmasked rows.
 
     logits: (N, V); targets: (N,) int ids; mask: (N,) with 1 for rows that
@@ -332,10 +330,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
         raise ValueError("cross_entropy expects 2-d logits")
     targets = np.asarray(targets)
     n = logits.shape[0]
-    if mask is None:
-        mask = np.ones(n, dtype=logits.dtype)
-    else:
-        mask = np.asarray(mask, dtype=logits.dtype)
+    mask = np.asarray(mask, dtype=logits.dtype)
     denom = float(mask.sum())
     if denom <= 0.0:
         raise ValueError("cross_entropy: no unmasked positions")
@@ -462,12 +457,11 @@ def dot_attention(states: Tensor, mask: np.ndarray, query: Tensor
 class AdaGrad:
     """AdaGrad with per-parameter accumulated squared gradients."""
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 0.01, eps: float = 1e-8):
+    def __init__(self, params: Sequence[Tensor], lr: float):
         if lr <= 0:
             raise ValueError("learning rate must be positive")
         self.params = list(params)
         self.lr = lr
-        self.eps = eps
         self.accum = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
@@ -475,7 +469,7 @@ class AdaGrad:
             if p.grad is None:
                 continue
             acc += p.grad * p.grad
-            p.data -= self.lr * p.grad / (np.sqrt(acc) + self.eps)
+            p.data -= self.lr * p.grad / (np.sqrt(acc) + 1e-8)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -24,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import bpe as B
 from . import corpus as C
 from . import evaluation as E
 from . import tensor as T
@@ -94,8 +95,8 @@ def _dev_bleu(model, dev_docs, src_vocab, trg_vocab) -> float:
     hyp_sents, ref_sents = [], []
     for doc, hyp_doc in zip(dev_docs, hyps):
         for (src, trg), hyp in zip(doc.pairs, hyp_doc):
-            hyp_sents.append(E.debpe(hyp))
-            ref_sents.append(E.debpe(trg))
+            hyp_sents.append(B.remove_bpe(hyp))
+            ref_sents.append(B.remove_bpe(trg))
     return E.bleu(hyp_sents, ref_sents).bleu
 
 

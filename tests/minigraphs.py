@@ -35,7 +35,7 @@ def _softmax_pipeline(rng):
     c = T.Tensor(rng.normal(size=(2, 6)), dtype=np.float64)
 
     def forward():
-        p = T.softmax(T.matmul(x, w), axis=-1)
+        p = T.softmax(T.matmul(x, w))
         return T.reduce_sum(T.mul(p, c))
 
     return [w], forward

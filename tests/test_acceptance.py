@@ -67,7 +67,7 @@ def _prepare_corpus(mode: str):
 def _score(model, test_seg, test_docs, test_meta, src_v, trg_v, gold_context):
     hyps, _ = E.translate_corpus(model, test_seg, src_v, trg_v,
                                  gold_context=gold_context)
-    hyp_docs = [[E.debpe(sent) for sent in doc] for doc in hyps]
+    hyp_docs = [[B.remove_bpe(sent) for sent in doc] for doc in hyps]
     hyp_sents, ref_sents = [], []
     for doc, hyp_doc in zip(test_docs, hyp_docs):
         for (_, trg), hyp in zip(doc.pairs, hyp_doc):

@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 
 import pytest
@@ -78,6 +79,7 @@ class TestSynthPreprocess:
             (prep / "syn.train.src.manifest.json").read_text())["settings"]
         assert settings["merges"] == "60"              # flag
         assert settings["max_len"] == str(cli.DESK_PROFILE["max_len"])
+        assert "seed" not in settings                  # preprocess has none
 
     @pytest.mark.parametrize("token", ["x@@", "@@"])
     def test_bpe_marker_in_input_names_file_and_line(self, tmp_path, token):
@@ -90,6 +92,29 @@ class TestSynthPreprocess:
             cli.run(["preprocess", "--train-src", str(src),
                      "--train-trg", str(trg), "--out-dir", str(tmp_path)])
         assert not (tmp_path / "corpus.train.src").exists()
+
+    @pytest.mark.parametrize("given", ["--dev-src", "--dev-trg",
+                                       "--test-src", "--test-trg"])
+    def test_half_a_pair_rejected_before_writing(self, pipeline, tmp_path,
+                                                 given):
+        _, data, _, _, _ = pipeline
+        tag, side = given[2:].split("-")
+        with pytest.raises(ValueError, match=f"--{tag}-src and --{tag}-trg"):
+            cli.run(["preprocess", "--train-src", str(data / "train.src"),
+                     "--train-trg", str(data / "train.trg"),
+                     given, str(data / f"{tag}.{side}"),
+                     "--out-dir", str(tmp_path / "prep")])
+        assert not (tmp_path / "prep").exists()
+
+    @pytest.mark.parametrize("flag,value,setting", [
+        ("--docs", "0", "num_documents"), ("--fillers", "0", "num_fillers")])
+    def test_empty_corpus_rejected_before_writing(self, tmp_path, flag, value,
+                                                  setting):
+        argv = ["synth", "--mode", "trg-informative", "--docs", "5",
+                "--out-dir", str(tmp_path / "data"), flag, value]
+        with pytest.raises(ValueError, match=f"{setting} must be >= 1"):
+            cli.run(argv)
+        assert not (tmp_path / "data").exists()
 
 
 class TestTraining:
@@ -107,11 +132,15 @@ class TestTraining:
         _, _, _, models, common = pipeline
         run_ok(["finetune", *common, "--variant", "shared-target",
                 "--baseline", str(models / "base"), "--epochs", "1",
-                "--out", str(models / "st"), "--seeds", "1,2"])
+                "--out", str(models / "st"), "--seed", "1,2"])
         out = capsys.readouterr().out
         assert "mean" in out and "+-" in out
         assert (models / "st.s1.bin").exists()
         assert (models / "st.s2.bin").exists()
+        manifest = json.loads((models / "st.s2.manifest.json").read_text())
+        assert manifest["seed"] == 2
+        assert manifest["settings"]["seed"] == "1,2"
+        assert "seeds" not in manifest["settings"]
 
     def test_finetune_dropout_overrides_the_baseline(self, pipeline, tmp_path):
         _, _, _, models, common = pipeline
@@ -163,6 +192,8 @@ class TestTranslateEvaluateCompare:
                 "--out", str(hyp)])
         hyp_docs = C.load_blocks(hyp)
         assert len(hyp_docs) == 8
+        manifest = json.loads((root / "base.hyp.manifest.json").read_text())
+        assert "seed" not in manifest["settings"]     # decoding is seedless
 
         run_ok(["evaluate", "--hyp", str(hyp), "--ref", str(data / "test.trg"),
                 "--meta", str(data / "test.meta"),
@@ -172,6 +203,8 @@ class TestTranslateEvaluateCompare:
         report = (root / "report.txt").read_text()
         assert report.startswith("bleu=")
         assert "slot_accuracy=" in report
+        manifest = json.loads((root / "report.txt.manifest.json").read_text())
+        assert "seed" not in manifest["settings"]
 
         run_ok(["compare", str(hyp), str(hyp), str(data / "test.trg"),
                 "--n", "50", "--seed", "3"])
@@ -287,6 +320,49 @@ class TestParams:
         run_ok(["params", "--config", str(cfg),
                 "--src-vocab-size", "10", "--trg-vocab-size", "10"])
         assert "E=8 H=8" in capsys.readouterr().out
+
+    def test_config_file_rejects_unknown_keys(self, tmp_path):
+        # a key of another command (merges) is fine: one file serves all
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("# sizes\nmerges = 10\nhiden_dim = 8\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{cfg}, line 3: unknown key 'hiden_dim'")):
+            cli.run(["params", "--config", str(cfg)])
+        cfg.write_text("emb_dim = 8\nhidden_dim 8\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{cfg}, line 2: no '=' in 'hidden_dim 8'")):
+            cli.run(["params", "--config", str(cfg)])
+
+    def test_negative_sizes_rejected(self):
+        with pytest.raises(ValueError, match=r"emb_dim must be >= 1, got -4"):
+            cli.run(["params", "--emb-dim", "-4", "--hidden-dim", "-2"])
+
+
+class TestFlagSurface:
+    """Each command takes only the flags it reads."""
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["translate", "--ckpt", "m", "--src", "s", "--src-vocab", "v",
+          "--trg-vocab", "v", "--out", "o", "--seed", "1"], "--seed"),
+        (["evaluate", "--hyp", "h", "--ref", "r", "--config", "f"],
+         "--config"),
+        (["synth", "--mode", "trg-informative", "--docs", "5",
+          "--config", "f"], "--config")])
+    def test_unread_flag_is_a_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as info:
+            cli.run(argv)
+        assert info.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_seed_list_must_be_integers(self, capsys):
+        argv = ["train-baseline", "--seed", "1,x", "--out", "m"]
+        for name in ("train-src", "train-trg", "dev-src", "dev-trg",
+                     "src-vocab", "trg-vocab"):
+            argv += [f"--{name}", "f"]
+        with pytest.raises(SystemExit) as info:
+            cli.run(argv)
+        assert info.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
 
 
 class TestExitCodes:

@@ -163,3 +163,10 @@ class TestSynthetic:
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             C.SynthConfig(mode="sideways")
+
+    @pytest.mark.parametrize("name,value", [
+        ("num_documents", 0), ("num_documents", -3), ("num_fillers", 0)])
+    def test_empty_corpus_rejected(self, name, value):
+        with pytest.raises(ValueError, match=rf"{name} must be >= 1, "
+                                             rf"got {value}\b"):
+            C.SynthConfig(**{name: value})

@@ -290,4 +290,4 @@ class TestSlotScoring:
 
 class TestDebpe:
     def test_joins_continuation_pieces(self):
-        assert E.debpe(["a@@", "b", "c@@", "d@@", "e"]) == ["ab", "cde"]
+        assert B.remove_bpe(["a@@", "b", "c@@", "d@@", "e"]) == ["ab", "cde"]

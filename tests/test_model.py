@@ -39,6 +39,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             ModelConfig("fancy", 8, 8, 10, 10)
 
+    @pytest.mark.parametrize("field,value", [
+        ("emb_dim", -4), ("emb_dim", 0), ("hidden_dim", -2),
+        ("hidden_dim", 0), ("src_vocab_size", 0), ("trg_vocab_size", -1)])
+    def test_size_below_one_rejected(self, field, value):
+        sizes = {"emb_dim": 8, "hidden_dim": 8, "src_vocab_size": 10,
+                 "trg_vocab_size": 10, field: value}
+        with pytest.raises(ValueError, match=rf"{field} must be >= 1, "
+                                             rf"got {value}\b"):
+            ModelConfig("baseline", **sizes)
+
 
 class TestParamCount:
     @pytest.mark.parametrize("emb,hidden,vs,vt", [(8, 8, 12, 12),
