@@ -319,8 +319,17 @@ def cmd_params(args) -> int:
 
 
 def _seed_list(text: str) -> str:
-    """`--seed 4` or `--seed 1,2,3`, checked and kept as text for manifests."""
-    return ",".join(str(int(seed)) for seed in text.split(","))
+    """`--seed 4` or `--seed 1,2,3`, checked and kept as text for manifests.
+
+    A repeated seed is refused: its second run would overwrite the first
+    one's checkpoint and leave the summary without a mean.
+    """
+    seeds = [str(int(seed)) for seed in text.split(",")]
+    for seed in seeds:
+        if seeds.count(seed) > 1:
+            raise argparse.ArgumentTypeError(f"seed {seed} is repeated in "
+                                             f"'{text}'")
+    return ",".join(seeds)
 
 
 def _add_train_args(p):

@@ -188,41 +188,19 @@ class TranslationModel:
 
     # -- encoder ----------------------------------------------------------
 
-    def _scan(self, emb: T.Tensor, mask: np.ndarray, stem: str, hidden: int,
-              reverse: bool) -> tuple[list[T.Tensor], T.Tensor, T.Tensor]:
-        """Run one LSTM direction over (B, M, In); padding carries state through."""
-        b, m, _ = emb.shape
-        w_x = self.params[f"{stem}_wx"]
-        w_h = self.params[f"{stem}_wh"]
-        bias = self.params[f"{stem}_b"]
-        h = T.Tensor(np.zeros((b, hidden), dtype=self.dtype))
-        c = T.Tensor(np.zeros((b, hidden), dtype=self.dtype))
-        steps = range(m - 1, -1, -1) if reverse else range(m)
-        outputs: list[Optional[T.Tensor]] = [None] * m
-        for t in steps:
-            x_t = T.select(emb, 1, t)
-            m_t = mask[:, t:t + 1].astype(self.dtype)
-            h, c = T.lstm_cell(x_t, h, c, w_x, w_h, bias, mask=m_t)
-            outputs[t] = h
-        return outputs, h, c
+    def _cell(self, stem: str) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
+        """One LSTM's (w_x, w_h, b)."""
+        return tuple(self.params[f"{stem}_{part}"] for part in ("wx", "wh", "b"))
 
     def encode(self, src_ids: np.ndarray, src_mask: np.ndarray,
                rng: Optional[np.random.Generator] = None) -> EncoderStates:
-        cfg = self.cfg
-        half = cfg.hidden_dim // 2
         emb = T.embedding(self.params["src_emb"], src_ids)
-        emb = self._dropout(emb, rng)
-        layer_in = emb
+        layer_in = self._dropout(emb, rng)
         finals = []
         for layer in (1, 2):
-            fwd, hf, cf = self._scan(layer_in, src_mask, f"enc_l{layer}_fwd",
-                                     half, reverse=False)
-            bwd, hb, cb = self._scan(layer_in, src_mask, f"enc_l{layer}_bwd",
-                                     half, reverse=True)
-            layer_out = T.concat([T.stack(fwd, axis=1), T.stack(bwd, axis=1)],
-                                 axis=-1)  # (B, M, H)
-            finals.append((T.concat([hf, hb], axis=-1),
-                           T.concat([cf, cb], axis=-1)))
+            cells = [self._cell(f"enc_l{layer}_{d}") for d in ("fwd", "bwd")]
+            layer_out, h, c = T.lstm_scan(layer_in, src_mask, cells)
+            finals.append((h, c))
             layer_in = self._dropout(layer_out, rng) if layer == 1 \
                 else layer_out
         return EncoderStates(states=layer_in, mask=src_mask, finals=finals)
@@ -237,12 +215,10 @@ class TranslationModel:
     def _context_scan(self, ids: np.ndarray, mask: np.ndarray, emb_table: str,
                       rng) -> T.Tensor:
         emb = T.embedding(self.params[emb_table], ids)
-        emb = self._dropout(emb, rng)
-        layer_in = emb
+        layer_in = self._dropout(emb, rng)
         for layer in (1, 2):
-            outs, _, _ = self._scan(layer_in, mask, f"ctx_l{layer}",
-                                    self.cfg.hidden_dim, reverse=False)
-            layer_out = T.stack(outs, axis=1)
+            layer_out, _, _ = T.lstm_scan(layer_in, mask,
+                                          [self._cell(f"ctx_l{layer}")])
             layer_in = self._dropout(layer_out, rng) if layer == 1 \
                 else layer_out
         return layer_in
@@ -281,11 +257,9 @@ class TranslationModel:
     def _recur(self, x: T.Tensor, carry, rng):
         """The two decoder LSTM layers; no input feeding, so no attention."""
         (h1, c1), (h2, c2) = carry
-        h1, c1 = T.lstm_cell(x, h1, c1, self.params["dec_l1_wx"],
-                             self.params["dec_l1_wh"], self.params["dec_l1_b"])
+        h1, c1 = T.lstm_cell(x, h1, c1, *self._cell("dec_l1"))
         mid = self._dropout(h1, rng)
-        h2, c2 = T.lstm_cell(mid, h2, c2, self.params["dec_l2_wx"],
-                             self.params["dec_l2_wh"], self.params["dec_l2_b"])
+        h2, c2 = T.lstm_cell(mid, h2, c2, *self._cell("dec_l2"))
         return [(h1, c1), (h2, c2)]
 
     def _readout(self, h2: T.Tensor, enc: EncoderStates, context

@@ -353,6 +353,59 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
 # fused recurrent and attention steps
 
 
+def _gates(z: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
+           mask: Optional[np.ndarray], keep: Optional[np.ndarray]):
+    """The LSTM step's arithmetic from pre-activations z (..., 4H), gates in
+    i, f, g, o order; the i, f and o sigmoids run in one pass over z.
+
+    `mask` (..., 1), when given, carries the previous state through padded
+    rows, and `keep` is 1 - mask.  Returns the new h and c and what
+    `_gates_backward` needs.
+    """
+    hidden = z.shape[-1] // 4
+    sig = 0.5 * z
+    np.tanh(sig, out=sig)
+    sig += 1.0
+    sig *= 0.5
+    g = np.tanh(z[..., 2 * hidden:3 * hidden])
+    c_new = sig[..., hidden:2 * hidden] * c_prev
+    c_new += sig[..., :hidden] * g
+    tc = np.tanh(c_new)
+    h_new = sig[..., 3 * hidden:] * tc
+    if mask is not None:
+        h_new *= mask
+        h_new += keep * h_prev
+        c_new = mask * c_new + keep * c_prev
+    return h_new, c_new, (sig, g, tc)
+
+
+def _gates_backward(gh: np.ndarray, gc: np.ndarray, c_prev: np.ndarray,
+                    mask: Optional[np.ndarray], saved):
+    """Gradients of the pre-activations z and of the unmasked new cell,
+    from the gradients of a step's outputs h and c.  The caller passes
+    the masked carries, `gh * keep` and `gc * keep`, back to the previous
+    state itself."""
+    sig, g, tc = saved
+    hidden = gh.shape[-1]
+    if mask is not None:
+        gh, gc = gh * mask, gc * mask
+    gc_total = gh * sig[..., 3 * hidden:]
+    gc_total *= 1.0 - tc * tc
+    gc_total += gc
+    # each gate's block of gz is (first factor * s) * (1 - s) for its
+    # sigmoid s; the g block is (gc_total * i) * (1 - g * g)
+    gz = np.empty(gh.shape[:-1] + (4 * hidden,), dtype=gh.dtype)
+    np.multiply(gc_total, g, out=gz[..., :hidden])
+    np.multiply(gc_total, c_prev, out=gz[..., hidden:2 * hidden])
+    g_block = gc_total * sig[..., :hidden]
+    gz[..., 2 * hidden:3 * hidden] = g_block
+    np.multiply(gh, tc, out=gz[..., 3 * hidden:])
+    gz *= sig
+    gz *= 1.0 - sig
+    np.multiply(g_block, 1.0 - g * g, out=gz[..., 2 * hidden:3 * hidden])
+    return gz, gc_total
+
+
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
               w_x: Tensor, w_h: Tensor, b: Tensor,
               mask: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor]:
@@ -367,38 +420,20 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
         raise ValueError(
             f"lstm_cell dimension mismatch: x {x.shape}, w_x {w_x.shape}, H={hidden}")
     z = x.data @ w_x.data + h_prev.data @ w_h.data + b.data
-    i = 0.5 * (1.0 + np.tanh(0.5 * z[:, :hidden]))
-    f = 0.5 * (1.0 + np.tanh(0.5 * z[:, hidden:2 * hidden]))
-    g = np.tanh(z[:, 2 * hidden:3 * hidden])
-    o = 0.5 * (1.0 + np.tanh(0.5 * z[:, 3 * hidden:]))
-    c_raw = f * c_prev.data + i * g
-    tc = np.tanh(c_raw)
-    h_raw = o * tc
-    if mask is None:
-        h_data, c_data = h_raw, c_raw
-    else:
-        h_data = mask * h_raw + (1.0 - mask) * h_prev.data
-        c_data = mask * c_raw + (1.0 - mask) * c_prev.data
+    keep = None if mask is None else 1.0 - mask
+    h_data, c_data, saved = _gates(z, h_prev.data, c_prev.data, mask, keep)
 
     def bw(h_out, c_out):
-        zero = np.zeros_like(h_raw)
+        zero = np.zeros_like(h_data)
         gh = zero if h_out.grad is None else h_out.grad
         gc = zero if c_out.grad is None else c_out.grad
-        if mask is None:
-            gh_raw, gc_raw = gh, gc
-        else:
-            gh_raw, gc_raw = gh * mask, gc * mask
+        if mask is not None:
             if h_prev.requires_grad:
-                h_prev.accumulate_grad(gh * (1.0 - mask), owned=True)
+                h_prev.accumulate_grad(gh * keep, owned=True)
             if c_prev.requires_grad:
-                c_prev.accumulate_grad(gc * (1.0 - mask), owned=True)
-        go = gh_raw * tc
-        gc_total = gc_raw + gh_raw * o * (1.0 - tc * tc)
-        gz = np.empty_like(z)
-        gz[:, :hidden] = gc_total * g * i * (1.0 - i)
-        gz[:, hidden:2 * hidden] = gc_total * c_prev.data * f * (1.0 - f)
-        gz[:, 2 * hidden:3 * hidden] = gc_total * i * (1.0 - g * g)
-        gz[:, 3 * hidden:] = go * o * (1.0 - o)
+                c_prev.accumulate_grad(gc * keep, owned=True)
+        gz, gc_total = _gates_backward(gh, gc, c_prev.data, mask, saved)
+        f = saved[0][:, hidden:2 * hidden]
         if x.requires_grad:
             x.accumulate_grad(gz @ w_x.data.T, owned=True)
         if h_prev.requires_grad:
@@ -413,6 +448,119 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
             b.accumulate_grad(gz.sum(axis=0), owned=True)
 
     return _make((x, h_prev, c_prev, w_x, w_h, b), bw, h_data, c_data)
+
+
+def lstm_scan(x: Tensor, mask: np.ndarray,
+              cells: Sequence[tuple[Tensor, Tensor, Tensor]]
+              ) -> tuple[Tensor, Tensor, Tensor]:
+    """A whole LSTM layer over x (B, M, In) as a single graph record.
+
+    `cells` holds one (w_x, w_h, b) per direction, shaped as for
+    `lstm_cell`: the first reads left to right, a second, if given, right
+    to left.  Each starts from zero states and takes one `lstm_cell` step
+    per position; where `mask` (B, M) is 0 a row carries its state
+    through.  Returns the states (B, M, D*H) and the final h and c
+    (B, D*H), directions concatenated in `cells` order.
+
+    The directions advance together: each step makes one stacked matmul
+    for the input projections of all directions and one for the
+    recurrent ones, and runs the gate arithmetic once over the stacked
+    pre-activations.  Each product is the BLAS call a chain of masked
+    `lstm_cell` records per direction makes (`select` each position,
+    `stack` the outputs, `concat` the directions), and the backward pass
+    sums every gradient in that chain's order, so states, finals and
+    gradients are bit for bit the chain's, at every shape.  Hoisting a
+    product out of the loop would not be: with OpenBLAS, one GEMM over
+    all B*M rows differs from the per-step products for a batch of one
+    row (which takes gemv) and at some widths, and so does one input
+    gradient GEMM over all steps, whose operand is transposed.
+    """
+    if x.ndim != 3 or not 1 <= len(cells) <= 2:
+        raise ValueError(f"lstm_scan needs x (B, M, In) and one or two "
+                         f"cells, got x {x.shape} and {len(cells)} cells")
+    batch, steps, width = x.shape
+    hidden = cells[0][1].shape[0]
+    for cell in cells:
+        shapes = [p.shape for p in cell]
+        if shapes != [(width, 4 * hidden), (hidden, 4 * hidden),
+                      (4 * hidden,)]:
+            raise ValueError(
+                f"lstm_scan dimension mismatch: x {x.shape}, w_x {shapes[0]}, "
+                f"w_h {shapes[1]}, b {shapes[2]}")
+    mask = np.asarray(mask)
+    if mask.shape != (batch, steps):
+        raise ValueError(f"lstm_scan mask {mask.shape} does not fit "
+                         f"x {x.shape}")
+    # step s of direction d reads position s, or steps-1-s right to left;
+    # the per-step arrays are (step, direction, B, ...), the weights
+    # (direction, ...)
+    order = (slice(None), slice(None, None, -1))[:len(cells)]
+    x_steps = np.ascontiguousarray(x.data.transpose(1, 0, 2))
+    xs = np.stack([x_steps[o] for o in order], axis=1)
+    m_steps = mask.astype(x.dtype).T[:, :, None]
+    ms = np.stack([m_steps[o] for o in order], axis=1)
+    keeps = 1.0 - ms
+    w_x, w_h, bias = (np.stack([cell[k].data for cell in cells])
+                      for k in range(3))
+    bias = bias[:, None, :]
+    # hs[s] and cs[s] hold the state before step s
+    hs = np.zeros((steps + 1, len(cells), batch, hidden), dtype=x.dtype)
+    cs = np.zeros_like(hs)
+    saved = []
+    for s in range(steps):
+        z = np.matmul(xs[s], w_x) + np.matmul(hs[s], w_h) + bias
+        hs[s + 1], cs[s + 1], kept = _gates(z, hs[s], cs[s], ms[s], keeps[s])
+        saved.append(kept)
+    states = np.empty((batch, steps, len(cells) * hidden), dtype=x.dtype)
+    for d, o in enumerate(order):
+        states[:, :, d * hidden:(d + 1) * hidden] = \
+            hs[1:, d][o].transpose(1, 0, 2)
+    h_last = np.concatenate(list(hs[steps]), axis=-1)
+    c_last = np.concatenate(list(cs[steps]), axis=-1)
+
+    def per_step(g):
+        """(B, D*H) -> (direction, B, H)."""
+        return g.reshape(batch, len(cells), hidden).transpose(1, 0, 2)
+
+    def bw(states_out, h_out, c_out):
+        zero = np.zeros_like(hs[0])
+        g_states = None
+        if states_out.grad is not None:
+            g = states_out.grad.reshape(batch, steps, len(cells), hidden)
+            g_states = np.stack([g[:, o, d].transpose(1, 0, 2)
+                                 for d, o in enumerate(order)], axis=1)
+        gh = None if h_out.grad is None else per_step(h_out.grad)
+        gc = None if c_out.grad is None else per_step(c_out.grad)
+        if g_states is not None:
+            gh = g_states[-1] if gh is None else gh + g_states[-1]
+        w_x_t, w_h_t = w_x.swapaxes(-1, -2), w_h.swapaxes(-1, -2)
+        if x.requires_grad and x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        for s in range(steps - 1, -1, -1):
+            gh_s = zero if gh is None else gh
+            gc_s = zero if gc is None else gc
+            gz, gc_total = _gates_backward(gh_s, gc_s, cs[s], ms[s], saved[s])
+            if x.requires_grad:
+                gx = np.matmul(gz, w_x_t)
+                for d in range(len(cells)):
+                    x.grad[:, (s, steps - 1 - s)[d]] += gx[d]
+            grads = (np.matmul(xs[s].swapaxes(-1, -2), gz),
+                     np.matmul(hs[s].swapaxes(-1, -2), gz), gz.sum(axis=1))
+            for d, cell in enumerate(cells):
+                for p, gp in zip(cell, grads):
+                    if p.requires_grad:
+                        p.accumulate_grad(gp[d], owned=True)
+            if s > 0:
+                # (output term + masked carry) + recurrent term, as the
+                # chain of cell records sums them
+                carry = gh_s * keeps[s]
+                gh = carry if g_states is None else g_states[s - 1] + carry
+                gh += np.matmul(gz, w_h_t)
+                gc = gc_s * keeps[s]
+                gc += gc_total * saved[s][0][..., hidden:2 * hidden]
+
+    return _make((x,) + tuple(p for cell in cells for p in cell), bw,
+                 states, h_last, c_last)
 
 
 def dot_attention(states: Tensor, mask: np.ndarray, query: Tensor

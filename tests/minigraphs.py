@@ -107,8 +107,31 @@ def _masked_attention(rng):
     return [states, query], forward
 
 
+def _lstm_scan(rng):
+    width, hidden = 3, 2
+    x = _param(rng, 2, 4, width)
+    cells = [(_param(rng, width, 4 * hidden), _param(rng, hidden, 4 * hidden),
+              _param(rng, 4 * hidden)) for _ in range(2)]
+    # the second row is padded after two tokens, so both directions carry
+    # their state through padding
+    mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
+    probes = [T.Tensor(rng.normal(size=shape), dtype=np.float64)
+              for shape in ((2, 4, 2 * hidden), (2, 2 * hidden),
+                            (2, 2 * hidden))]
+
+    def forward():
+        # the states and both finals reach the loss
+        outs = T.lstm_scan(x, mask, cells)
+        loss = T.reduce_sum(T.mul(outs[0], probes[0]))
+        for out, probe in zip(outs[1:], probes[1:]):
+            loss = T.add(loss, T.reduce_sum(T.mul(T.tanh(out), probe)))
+        return loss
+
+    return [x] + [p for cell in cells for p in cell], forward
+
+
 FAMILIES = [_affine_tanh, _softmax_pipeline, _embedding_loss, _lstm_chain,
-            _concat_stack_select, _masked_attention]
+            _concat_stack_select, _masked_attention, _lstm_scan]
 
 
 def build_minigraph(seed):

@@ -364,6 +364,21 @@ class TestFlagSurface:
         assert info.value.code == 2
         assert "argument --seed" in capsys.readouterr().err
 
+    def test_repeated_seed_is_a_usage_error(self, capsys, tmp_path):
+        # the second run of seed 3 would overwrite m.s3.* and the summary
+        # would have no mean; argparse refuses it before anything is written
+        argv = ["train-baseline", "--seed", "3,1,3", "--out",
+                str(tmp_path / "m")]
+        for name in ("train-src", "train-trg", "dev-src", "dev-trg",
+                     "src-vocab", "trg-vocab"):
+            argv += [f"--{name}", str(tmp_path / name)]
+        with pytest.raises(SystemExit) as info:
+            cli.run(argv)
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --seed: seed 3 is repeated in '3,1,3'" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self):

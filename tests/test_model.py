@@ -123,20 +123,23 @@ class TestEncoder:
         np.testing.assert_allclose(enc.states.data[0], expected, atol=1e-6)
 
     def test_reverse_scan_mirrors_forward_scan(self, task):
-        # one weight set: scanning the reversed input backwards must retrace
-        # the forward trajectory position by position
+        # one weight set: the right-to-left cell, reading the reversed
+        # input, must retrace the forward trajectory position by position
         _, _, src_v, trg_v = task
         model = make_model("baseline", src_v, trg_v, seed=4)
-        ids = np.array([[4, 7]])
-        mask = np.ones((1, 2), dtype=np.float32)
+        ids = np.array([[4, 7, 5]])
+        mask = np.ones((1, 3), dtype=np.float32)
+        cell = tuple(model.params[f"enc_l1_fwd_{part}"]
+                     for part in ("wx", "wh", "b"))
         with T.no_grad():
             emb = T.embedding(model.params["src_emb"], ids)
             emb_rev = T.embedding(model.params["src_emb"], ids[:, ::-1].copy())
-            fwd, _, _ = model._scan(emb, mask, "enc_l1_fwd", 4, reverse=False)
-            bwd, _, _ = model._scan(emb_rev, mask, "enc_l1_fwd", 4,
-                                    reverse=True)
-        np.testing.assert_array_equal(fwd[0].data, bwd[1].data)
-        np.testing.assert_array_equal(fwd[1].data, bwd[0].data)
+            fwd, h_fwd, c_fwd = T.lstm_scan(emb, mask, [cell])
+            both, h_both, c_both = T.lstm_scan(emb_rev, mask, [cell, cell])
+        bwd = both.data[:, :, 4:]
+        np.testing.assert_array_equal(fwd.data, bwd[:, ::-1])
+        np.testing.assert_array_equal(h_fwd.data, h_both.data[:, 4:])
+        np.testing.assert_array_equal(c_fwd.data, c_both.data[:, 4:])
 
 
 class TestContextStates:

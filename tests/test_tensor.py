@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from docnmt import tensor as T
 
-from minigraphs import build_minigraph
+from minigraphs import FAMILIES, build_minigraph
 from oracles import finite_difference_grads, max_relative_error, scalar_lstm_step
 
 
@@ -100,6 +103,88 @@ class TestLstmCell:
             T.lstm_cell(bad_x, h0, h0, w_x, w_h, b)
 
 
+def _cell_chain(x, mask, cells):
+    """An LSTM layer as a chain of masked `lstm_cell` records per direction:
+    `select` each position, `stack` each direction, `concat` them."""
+    batch, steps, _ = x.shape
+    outputs, finals = [], []
+    for d, (w_x, w_h, b) in enumerate(cells):
+        h = T.Tensor(np.zeros((batch, w_h.shape[0]), dtype=x.dtype))
+        c = T.Tensor(np.zeros((batch, w_h.shape[0]), dtype=x.dtype))
+        states = [None] * steps
+        for t in (range(steps - 1, -1, -1) if d else range(steps)):
+            h, c = T.lstm_cell(T.select(x, 1, t), h, c, w_x, w_h, b,
+                               mask=mask[:, t:t + 1].astype(x.dtype))
+            states[t] = h
+        outputs.append(states)
+        finals.append((h, c))
+    if len(cells) == 1:
+        return T.stack(outputs[0], axis=1), finals[0][0], finals[0][1]
+    states = T.concat([T.stack(out, axis=1) for out in outputs], axis=-1)
+    return (states, T.concat([h for h, _ in finals], axis=-1),
+            T.concat([c for _, c in finals], axis=-1))
+
+
+class TestLstmScan:
+    @settings(max_examples=40, deadline=None)
+    @given(batch=st.sampled_from([1, 2, 5, 16]),
+           steps=st.integers(1, 7),
+           width=st.integers(1, 64),
+           hidden=st.integers(1, 64),
+           directions=st.sampled_from([1, 2]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_cell_chain_bit_for_bit(self, batch, steps, width, hidden,
+                                           directions, seed):
+        rng = np.random.default_rng(seed)
+        lengths = rng.integers(1, steps + 1, size=batch)
+        lengths[0] = 1                      # a length-1 row, padded after
+        mask = (np.arange(steps)[None, :] < lengths[:, None]).astype(
+            np.float32)
+        x_data = rng.normal(size=(batch, steps, width)).astype(np.float32)
+        cells_data = [
+            tuple(rng.uniform(-0.5, 0.5, size=shape).astype(np.float32)
+                  for shape in ((width, 4 * hidden), (hidden, 4 * hidden),
+                                (4 * hidden,)))
+            for _ in range(directions)]
+        probes = [rng.normal(size=shape).astype(np.float32)
+                  for shape in ((batch, steps, directions * hidden),
+                                (batch, directions * hidden),
+                                (batch, directions * hidden))]
+
+        def run(layer):
+            x = T.Tensor(x_data.copy(), requires_grad=True)
+            cells = [tuple(T.Tensor(a.copy(), requires_grad=True)
+                           for a in cell) for cell in cells_data]
+            outs = layer(x, mask, cells)
+            loss = T.reduce_sum(T.mul(outs[0], probes[0]))
+            for out, probe in zip(outs[1:], probes[1:]):
+                loss = T.add(loss, T.reduce_sum(T.mul(out, probe)))
+            T.backward(loss)
+            return [out.data for out in outs] + [x.grad] + [
+                p.grad for cell in cells for p in cell]
+
+        for got, want in zip(run(T.lstm_scan), run(_cell_chain)):
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("x_shape,mask_shape,cell_shapes,named", [
+        ((2, 3, 4), (2, 3), [((5, 8), (2, 8), (8,))], "w_x (5, 8)"),
+        ((2, 3, 4), (2, 3), [((4, 8), (2, 8), (8,)), ((4, 8), (3, 12), (12,))],
+         "w_h (3, 12)"),
+        ((2, 3, 4), (2, 3), [((4, 8), (2, 8), (6,))], "b (6,)"),
+        ((2, 3, 4), (3, 2), [((4, 8), (2, 8), (8,))], "mask (3, 2)"),
+        ((2, 4), (2, 3), [((4, 8), (2, 8), (8,))], "x (2, 4)"),
+        ((2, 3, 4), (2, 3), [((4, 8), (2, 8), (8,))] * 3, "3 cells")])
+    def test_mismatched_shapes_rejected(self, x_shape, mask_shape,
+                                        cell_shapes, named):
+        x = T.Tensor(np.zeros(x_shape), requires_grad=True)
+        cells = [tuple(T.Tensor(np.zeros(s), requires_grad=True)
+                       for s in shapes) for shapes in cell_shapes]
+        with pytest.raises(ValueError, match=re.escape(named)):
+            T.lstm_scan(x, np.ones(mask_shape), cells)
+        assert T.active_graph() == []
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         w = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
@@ -125,7 +210,7 @@ class TestBackward:
         T.backward(loss, params=[a, unused])
         np.testing.assert_array_equal(unused.grad, [0.0, 0.0])
 
-    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("seed", range(len(FAMILIES)))
     def test_minigraph_matches_finite_differences(self, seed):
         params, forward = build_minigraph(seed)
         T.backward(forward(), params=params)
