@@ -8,8 +8,9 @@ removing "@@ " joints recovers the original text exactly.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+import heapq
 from typing import Iterable, Sequence
 
 EOW = "</w>"
@@ -80,6 +81,10 @@ def learn_bpe(sentences: Iterable[Sequence[str]], num_merges: int) -> BpeModel:
     """Learn merge rules by greedy most-frequent-pair counting.
 
     Ties break lexicographically on the pair so learning is deterministic.
+    Pairs are counted once; a merge then recounts only the words that
+    contained the merged pair (Sennrich et al. 2016), found through a
+    pair -> word-index list, and a heap of (-count, pair) entries, stale
+    ones skipped when popped, yields the next best pair.
     """
     if num_merges < 0:
         raise ValueError("num_merges must be >= 0")
@@ -89,21 +94,52 @@ def learn_bpe(sentences: Iterable[Sequence[str]], num_merges: int) -> BpeModel:
     if not word_freq:
         raise ValueError("cannot learn BPE from an empty corpus")
 
-    words = {w: list(w) + [EOW] for w in word_freq}
+    words = [list(w) + [EOW] for w in word_freq]
+    freqs = list(word_freq.values())
+    pair_freq: Counter[tuple[str, str]] = Counter()
+    # lists the words that contain each pair, and possibly some that no
+    # longer do; a word is listed again only for a pair it did not have
+    where: dict[tuple[str, str], list[int]] = defaultdict(list)
+    for i, (symbols, freq) in enumerate(zip(words, freqs)):
+        for pair in set(zip(symbols, symbols[1:])):
+            where[pair].append(i)
+        for pair in zip(symbols, symbols[1:]):
+            pair_freq[pair] += freq
+    heap = [(-c, pair) for pair, c in pair_freq.items()]
+    heapq.heapify(heap)
+
     merges: list[tuple[str, str]] = []
     for _ in range(num_merges):
-        pair_freq: Counter[tuple[str, str]] = Counter()
-        for w, symbols in words.items():
-            freq = word_freq[w]
-            for pair in zip(symbols, symbols[1:]):
-                pair_freq[pair] += freq
-        if not pair_freq:
+        while heap and pair_freq.get(heap[0][1]) != -heap[0][0]:
+            heapq.heappop(heap)
+        if not heap:
             break
-        best_count = max(pair_freq.values())
-        best = min(p for p, c in pair_freq.items() if c == best_count)
+        best = heapq.heappop(heap)[1]
         merges.append(best)
-        for w in words:
-            words[w] = _merge_symbols(words[w], best)
+        delta: Counter[tuple[str, str]] = Counter()
+        for i in where.pop(best):
+            symbols = words[i]
+            merged = _merge_symbols(symbols, best)
+            if len(merged) == len(symbols):
+                continue
+            words[i], freq = merged, freqs[i]
+            old = list(zip(symbols, symbols[1:]))
+            new = list(zip(merged, merged[1:]))
+            for pair in old:
+                delta[pair] -= freq
+            for pair in new:
+                delta[pair] += freq
+            for pair in set(new).difference(old):
+                where[pair].append(i)
+        for pair, d in delta.items():
+            if d:
+                count = pair_freq[pair] + d
+                if count:
+                    pair_freq[pair] = count
+                    heapq.heappush(heap, (-count, pair))
+                else:
+                    del pair_freq[pair]
+                    where.pop(pair, None)
     return BpeModel(merges)
 
 

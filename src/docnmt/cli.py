@@ -85,6 +85,13 @@ def _load_vocabs(args) -> tuple[B.Vocabulary, B.Vocabulary]:
     return B.Vocabulary.load(args.src_vocab), B.Vocabulary.load(args.trg_vocab)
 
 
+def _load_references(path) -> list[list[list[str]]]:
+    docs = C.load_blocks(path)
+    if not docs:
+        raise ValueError(f"{path}: no reference sentences")
+    return docs
+
+
 def _flatten(blocks):
     return [sent for block in blocks for sent in block]
 
@@ -252,7 +259,7 @@ def cmd_translate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ref_docs = C.load_blocks(args.ref)
+    ref_docs = _load_references(args.ref)
     hyp_docs = C.load_blocks(args.hyp, [len(doc) for doc in ref_docs])
     report = E.bleu(_flatten(hyp_docs), _flatten(ref_docs))
     print(report.pretty())
@@ -273,7 +280,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    ref_docs = C.load_blocks(args.refs)
+    ref_docs = _load_references(args.refs)
     lengths = [len(doc) for doc in ref_docs]
     hyps_a = _flatten(C.load_blocks(args.hyp_a, lengths))
     hyps_b = _flatten(C.load_blocks(args.hyp_b, lengths))
@@ -281,15 +288,13 @@ def cmd_compare(args) -> int:
     result = E.bootstrap_significance(hyps_a, hyps_b, refs,
                                       n_resamples=args.n_resamples,
                                       seed=args.seed)
-    bleu_a = E.bleu(hyps_a, refs).bleu
-    bleu_b = E.bleu(hyps_b, refs).bleu
-    print(f"BLEU A = {bleu_a:.2f}, BLEU B = {bleu_b:.2f}")
+    print(f"BLEU A = {result.bleu_a:.2f}, BLEU B = {result.bleu_b:.2f}")
     print(f"p = {result.p_value:.4f} for 'B better than A' "
           f"({result.n_resamples} resamples, mean delta {result.mean_delta:+.2f})")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:
-            f.write(f"bleu_a={bleu_a:.2f}\nbleu_b={bleu_b:.2f}\n"
-                    + result.records())
+            f.write(f"bleu_a={result.bleu_a:.2f}\n"
+                    f"bleu_b={result.bleu_b:.2f}\n" + result.records())
         write_manifest(args.out, "compare", args, args.seed,
                        [args.hyp_a, args.hyp_b, args.refs], [args.out])
     return 0

@@ -268,6 +268,8 @@ class SignificanceResult:
     mean_delta: float  # mean over resamples of BLEU(B) - BLEU(A)
     wins_b: int
     ties: int
+    bleu_a: float  # corpus BLEU of each system, not among the records
+    bleu_b: float
 
     def records(self) -> str:
         return (f"p_value={self.p_value:.4f}\n"
@@ -284,34 +286,45 @@ def bootstrap_significance(hyps_a: Sequence[Sequence[str]],
     """Paired bootstrap over sentences, testing "B better than A".
 
     p is the fraction of resamples where BLEU(B) <= BLEU(A); small p
-    means B's advantage survives resampling.
+    means B's advantage survives resampling.  A resample's totals are its
+    draw counts per sentence times the per-sentence statistics.
     """
     if not (len(hyps_a) == len(hyps_b) == len(refs)):
-        raise ValueError("system outputs and references must align")
+        raise ValueError(f"system outputs and references must align: "
+                         f"{len(hyps_a)} and {len(hyps_b)} hypotheses, "
+                         f"{len(refs)} references")
+    if not refs:
+        raise ValueError("no sentences to resample")
     if n_resamples < 1:
         raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
     n_sents = len(refs)
-    stats_a = np.stack([sentence_stats(h, r) for h, r in zip(hyps_a, refs)])
-    stats_b = np.stack([sentence_stats(h, r) for h, r in zip(hyps_b, refs)])
+    # both systems side by side: columns 0-9 are A's statistics, 10-19 B's
+    stats = np.hstack([
+        np.stack([sentence_stats(h, r) for h, r in zip(hyps, refs)])
+        for hyps in (hyps_a, hyps_b)])
     rng = np.random.default_rng(seed)
     not_better = 0
     ties = 0
     deltas = np.empty(n_resamples)
     for k in range(n_resamples):
         idx = rng.integers(0, n_sents, size=n_sents)
-        score_a, _, _ = _bleu_from_totals(stats_a[idx].sum(axis=0))
-        score_b, _, _ = _bleu_from_totals(stats_b[idx].sum(axis=0))
+        totals = np.bincount(idx, minlength=n_sents) @ stats
+        score_a, _, _ = _bleu_from_totals(totals[:10])
+        score_b, _, _ = _bleu_from_totals(totals[10:])
         deltas[k] = score_b - score_a
         if score_b <= score_a:
             not_better += 1
         if score_b == score_a:
             ties += 1
+    totals = stats.sum(axis=0)
     return SignificanceResult(
         p_value=not_better / n_resamples,
         n_resamples=n_resamples,
         mean_delta=float(deltas.mean()),
         wins_b=int((deltas > 0).sum()),
-        ties=ties)
+        ties=ties,
+        bleu_a=_bleu_from_totals(totals[:10])[0],
+        bleu_b=_bleu_from_totals(totals[10:])[0])
 
 
 # ---------------------------------------------------------------------------

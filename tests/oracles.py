@@ -2,9 +2,12 @@
 
 These deliberately avoid the library's autodiff path: gradients come from
 central finite differences over plain float functions, and the LSTM
-reference is a scalar loop over the gate equations.
+reference is a scalar loop over the gate equations.  The BPE learner and
+the paired bootstrap are the plain recount-everything versions of the
+library's incremental ones.
 """
 
+from collections import Counter
 import math
 
 import numpy as np
@@ -187,3 +190,65 @@ def beam_reference(model, doc, src_vocab, trg_vocab, beam_size):
         hyps.append(trg_vocab.decode(max(done, key=lambda d: d[0])[1]))
         prev = Previous(enc=(enc.states, enc.mask))
     return hyps
+
+
+def learn_bpe_reference(sentences, num_merges):
+    """Learn merge rules by greedy most-frequent-pair counting.
+
+    Every merge recounts every pair of every word type.  Ties break
+    lexicographically on the pair so learning is deterministic.
+    """
+    from docnmt.bpe import EOW, BpeModel, _merge_symbols
+
+    if num_merges < 0:
+        raise ValueError("num_merges must be >= 0")
+    word_freq = Counter()
+    for sent in sentences:
+        word_freq.update(sent)
+    if not word_freq:
+        raise ValueError("cannot learn BPE from an empty corpus")
+
+    words = {w: list(w) + [EOW] for w in word_freq}
+    merges = []
+    for _ in range(num_merges):
+        pair_freq = Counter()
+        for w, symbols in words.items():
+            freq = word_freq[w]
+            for pair in zip(symbols, symbols[1:]):
+                pair_freq[pair] += freq
+        if not pair_freq:
+            break
+        best_count = max(pair_freq.values())
+        best = min(p for p, c in pair_freq.items() if c == best_count)
+        merges.append(best)
+        for w in words:
+            words[w] = _merge_symbols(words[w], best)
+    return BpeModel(merges)
+
+
+def bootstrap_reference(hyps_a, hyps_b, refs, n_resamples, seed):
+    """Paired bootstrap over sentences, each resample summed row by row.
+
+    Returns (p_value, mean_delta, wins_b, ties) for "B better than A": p is
+    the fraction of resamples where BLEU(B) <= BLEU(A).
+    """
+    from docnmt.evaluation import _bleu_from_totals, sentence_stats
+
+    n_sents = len(refs)
+    stats_a = np.stack([sentence_stats(h, r) for h, r in zip(hyps_a, refs)])
+    stats_b = np.stack([sentence_stats(h, r) for h, r in zip(hyps_b, refs)])
+    rng = np.random.default_rng(seed)
+    not_better = 0
+    ties = 0
+    deltas = np.empty(n_resamples)
+    for k in range(n_resamples):
+        idx = rng.integers(0, n_sents, size=n_sents)
+        score_a, _, _ = _bleu_from_totals(stats_a[idx].sum(axis=0))
+        score_b, _, _ = _bleu_from_totals(stats_b[idx].sum(axis=0))
+        deltas[k] = score_b - score_a
+        if score_b <= score_a:
+            not_better += 1
+        if score_b == score_a:
+            ties += 1
+    return (not_better / n_resamples, float(deltas.mean()),
+            int((deltas > 0).sum()), ties)

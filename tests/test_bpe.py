@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from docnmt import bpe as B
 
+from oracles import learn_bpe_reference
+
 # Whitespace-free tokens, rich in the characters of the "@@" marker and the
 # "</w>" end-of-word symbol.  A token that itself ends in "@@" does not
 # survive de-segmentation (the marker scheme cannot tell it from a joint),
@@ -40,6 +42,19 @@ class TestLearnBpe:
     def test_merge_count_capped_by_possible_pairs(self):
         model = B.learn_bpe([["ab"]], 50)
         assert model.num_merges <= 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), types=st.lists(
+        st.text(st.sampled_from("abc"), min_size=1, max_size=8),
+        min_size=1, max_size=10, unique=True), scale=st.integers(1, 12))
+    def test_matches_recounting_learner(self, data, types, scale):
+        # Zipfian corpus: type k occurs about scale / (k + 1) times, so
+        # counts tie often; repeated letters give overlapping pairs (aaaa)
+        corpus = [[w] * max(1, scale // (k + 1)) for k, w in enumerate(types)]
+        # no more merges are possible than symbols to join
+        merges = data.draw(st.integers(0, sum(map(len, types)) + 3))
+        got = B.learn_bpe(corpus, merges).merges
+        assert got == learn_bpe_reference(corpus, merges).merges
 
 
 class TestApplyBpe:

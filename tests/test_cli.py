@@ -277,6 +277,17 @@ class TestHypothesisFiles:
         run_ok(["compare", str(hyp), str(hyp), str(ref), "--n", "20"])
         assert "p = 1.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["evaluate", "compare"])
+    def test_empty_reference_names_file(self, tmp_path, command):
+        ref, hyp = tmp_path / "empty.ref", tmp_path / "empty.hyp"
+        ref.write_text("")
+        hyp.write_text("")
+        argv = {"evaluate": ["evaluate", "--hyp", str(hyp), "--ref", str(ref)],
+                "compare": ["compare", str(hyp), str(hyp), str(ref)]}
+        with pytest.raises(ValueError,
+                           match=rf"{ref.name}: no reference sentences"):
+            cli.run(argv[command])
+
     @pytest.mark.parametrize("edit,document", [
         ("missing separator", 0), ("extra line at the end", 2),
         ("extra line in a document", 1), ("missing last line", 2)])

@@ -11,7 +11,7 @@ from docnmt import tensor as T
 from docnmt.model import ModelConfig, TranslationModel, VARIANTS
 
 from model_helpers import tiny_task, variant_family
-from oracles import beam_reference, greedy_reference
+from oracles import beam_reference, bootstrap_reference, greedy_reference
 
 
 @pytest.fixture(scope="module")
@@ -114,8 +114,38 @@ class TestBootstrap:
         assert r1 == r2
 
     def test_alignment_required(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="1 and 2 hypotheses, 1 references"):
             E.bootstrap_significance([["a"]], [["a"], ["b"]], [["a"]])
+
+    def test_no_sentences_rejected(self):
+        with pytest.raises(ValueError, match="no sentences"):
+            E.bootstrap_significance([], [], [])
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n_sents=st.integers(1, 8),
+           same=st.booleans(), n_resamples=st.integers(1, 40),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_row_summing_bootstrap(self, data, n_sents, same,
+                                           n_resamples, seed):
+        # sentences may be empty on either side; a system copies some
+        # references, so that BLEU is often above 0
+        sents = st.lists(st.lists(st.sampled_from("abc"), max_size=6),
+                         min_size=n_sents, max_size=n_sents)
+        copies = st.lists(st.booleans(), min_size=n_sents, max_size=n_sents)
+        refs = data.draw(sents)
+
+        def system():
+            return [r if c else h for r, h, c in
+                    zip(refs, data.draw(sents), data.draw(copies))]
+        hyps_a = system()
+        hyps_b = hyps_a if same else system()
+        got = E.bootstrap_significance(hyps_a, hyps_b, refs,
+                                       n_resamples=n_resamples, seed=seed)
+        assert (got.p_value, got.mean_delta, got.wins_b, got.ties) == \
+            bootstrap_reference(hyps_a, hyps_b, refs, n_resamples, seed)
+        assert got.bleu_a == E.bleu(hyps_a, refs).bleu
+        assert got.bleu_b == E.bleu(hyps_b, refs).bleu
 
 
 class TestTranslate:
