@@ -85,10 +85,10 @@ def _load_vocabs(args) -> tuple[B.Vocabulary, B.Vocabulary]:
     return B.Vocabulary.load(args.src_vocab), B.Vocabulary.load(args.trg_vocab)
 
 
-def _load_references(path) -> list[list[list[str]]]:
-    docs = C.load_blocks(path)
+def _nonempty(docs: list, path, what: str = "documents") -> list:
+    """`docs` as read from `path`; a ValueError naming the file if none."""
     if not docs:
-        raise ValueError(f"{path}: no reference sentences")
+        raise ValueError(f"{path}: no {what}")
     return docs
 
 
@@ -139,9 +139,12 @@ def cmd_preprocess(args) -> int:
                  args.test_src, args.test_trg):
         if path:
             _reject_bpe_marker(path)
+    docs = _nonempty(C.load_documents(args.train_src, args.train_trg),
+                     args.train_src)
+    extra_docs = {tag: _nonempty(C.load_documents(*pair), pair[0])
+                  for tag, pair in extras.items() if pair[0]}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    docs = C.load_documents(args.train_src, args.train_trg)
     kept = C.filter_documents(docs, max_len=args.max_len)
     src_model = B.learn_bpe([s for d in kept for s in d.src_sentences],
                             args.merges)
@@ -162,11 +165,9 @@ def cmd_preprocess(args) -> int:
 
     emit("train", train_seg)
     inputs = [args.train_src, args.train_trg]
-    for tag, (src_arg, trg_arg) in extras.items():
-        if src_arg:
-            extra = C.load_documents(src_arg, trg_arg)
-            emit(tag, C.segment_documents(extra, src_model, trg_model))
-            inputs.extend([src_arg, trg_arg])
+    for tag, extra in extra_docs.items():
+        emit(tag, C.segment_documents(extra, src_model, trg_model))
+        inputs.extend(extras[tag])
     codes_src = out_dir / f"{name}.codes.src"
     codes_trg = out_dir / f"{name}.codes.trg"
     vocab_src = out_dir / f"{name}.vocab.src"
@@ -188,8 +189,10 @@ def _train_seeds(args, command: str, start, inputs: list) -> int:
     then the best dev BLEU per seed (mean +- stdev for several seeds).
     `start(seed, src_vocab, trg_vocab)` returns the model to train."""
     src_vocab, trg_vocab = _load_vocabs(args)
-    train_docs = C.load_documents(args.train_src, args.train_trg)
-    dev_docs = C.load_documents(args.dev_src, args.dev_trg)
+    train_docs = _nonempty(C.load_documents(args.train_src, args.train_trg),
+                           args.train_src)
+    dev_docs = _nonempty(C.load_documents(args.dev_src, args.dev_trg),
+                         args.dev_src)
     seeds = [int(x) for x in args.seed.split(",")]
     scores = {}
     for seed in seeds:
@@ -238,10 +241,12 @@ def cmd_translate(args) -> int:
     model = load_checkpoint(args.ckpt)
     src_vocab, trg_vocab = _load_vocabs(args)
     if args.gold_context:
-        docs = C.load_documents(args.src, args.gold_context)
+        docs = _nonempty(C.load_documents(args.src, args.gold_context),
+                         args.src)
     else:
         docs = [C.Document(f"d{i:05d}", [(sent, []) for sent in block])
-                for i, block in enumerate(C.load_blocks(args.src))]
+                for i, block in enumerate(_nonempty(
+                    C.load_blocks(args.src), args.src, "source sentences"))]
     hyps, stats = E.translate_corpus(model, docs, src_vocab, trg_vocab,
                                      beam_size=args.beam,
                                      gold_context=bool(args.gold_context))
@@ -259,7 +264,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ref_docs = _load_references(args.ref)
+    ref_docs = _nonempty(C.load_blocks(args.ref), args.ref,
+                         "reference sentences")
     hyp_docs = C.load_blocks(args.hyp, [len(doc) for doc in ref_docs])
     report = E.bleu(_flatten(hyp_docs), _flatten(ref_docs))
     print(report.pretty())
@@ -280,7 +286,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    ref_docs = _load_references(args.refs)
+    ref_docs = _nonempty(C.load_blocks(args.refs), args.refs,
+                         "reference sentences")
     lengths = [len(doc) for doc in ref_docs]
     hyps_a = _flatten(C.load_blocks(args.hyp_a, lengths))
     hyps_b = _flatten(C.load_blocks(args.hyp_b, lengths))

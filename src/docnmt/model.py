@@ -205,10 +205,11 @@ class TranslationModel:
                 else layer_out
         return EncoderStates(states=layer_in, mask=src_mask, finals=finals)
 
-    def _dropout(self, x: T.Tensor,
-                 rng: Optional[np.random.Generator]) -> T.Tensor:
+    def _dropout(self, x: T.Tensor, rng: Optional[np.random.Generator],
+                 step_major: bool = False) -> T.Tensor:
         """Dropout is on exactly when an rng is given (training)."""
-        return x if rng is None else T.dropout(x, self.cfg.dropout, rng)
+        return x if rng is None \
+            else T.dropout(x, self.cfg.dropout, rng, step_major)
 
     # -- context ----------------------------------------------------------
 
@@ -254,56 +255,58 @@ class TranslationModel:
         """Decoder start state: the encoder's final per-layer states."""
         return [(h, c) for h, c in enc.finals]
 
-    def _recur(self, x: T.Tensor, carry, rng):
-        """The two decoder LSTM layers; no input feeding, so no attention."""
-        (h1, c1), (h2, c2) = carry
-        h1, c1 = T.lstm_cell(x, h1, c1, *self._cell("dec_l1"))
-        mid = self._dropout(h1, rng)
-        h2, c2 = T.lstm_cell(mid, h2, c2, *self._cell("dec_l2"))
-        return [(h1, c1), (h2, c2)]
+    def _decoder(self, y_in: np.ndarray, carry, rng) -> T.Tensor:
+        """Top-layer states (B, N, H) after each token of y_in (B, N), one
+        scan per layer from `carry`.  No input feeding: the states never
+        read attention.  As in decoding, padding is run through, and the
+        dropout between the layers is drawn step by step."""
+        layer_in = self._dropout(T.embedding(self.params["trg_emb"], y_in),
+                                 rng)
+        for layer, initial in zip((1, 2), carry):
+            layer_out, _, _ = T.lstm_scan(layer_in, np.ones(y_in.shape),
+                                          [self._cell(f"dec_l{layer}")],
+                                          initial)
+            layer_in = self._dropout(layer_out, rng, step_major=True) \
+                if layer == 1 else layer_out
+        return layer_in
 
-    def _readout(self, h2: T.Tensor, enc: EncoderStates, context
+    def _readout(self, h: T.Tensor, enc: EncoderStates, context
                  ) -> tuple[T.Tensor, T.Tensor, list[T.Tensor]]:
-        """Attention over the sentence and its context: (h_tilde, alpha, betas)."""
-        attn, alpha = T.dot_attention(enc.states, enc.mask, h2)
-        pieces = [h2, attn]
+        """Logits from decoder states h (B, N, H), one row per state in
+        (B*N, V), or (B, V) from one state (B, H); plus the current and
+        context attention weights."""
+        attn, alpha = T.dot_attention(enc.states, enc.mask, h)
+        pieces = [h, attn]
         betas: list[T.Tensor] = []
         if self.cfg.uses_context:
-            ctx, betas = context_attention(h2, context)
+            ctx, betas = context_attention(h, context)
             pieces.append(ctx)
-        h_tilde = T.tanh(T.matmul(T.concat(pieces, axis=-1),
-                                  self.params["attn_out"]))
-        return h_tilde, alpha, betas
+        # 2-D rows, so attn_out is one GEMM rather than a gemv per row
+        rows = T.concat(pieces, axis=-1)
+        rows = T.reshape(rows, (-1, rows.shape[-1]))
+        h_tilde = T.tanh(T.matmul(rows, self.params["attn_out"]))
+        return T.matmul(h_tilde, self.params["out_proj"]), alpha, betas
 
     def decode_step(self, y_prev: np.ndarray, carry, enc: EncoderStates,
                     context) -> StepResult:
         """One decoding step from the previous target token ids (B,)."""
-        emb = T.embedding(self.params["trg_emb"], np.asarray(y_prev))
-        carry = self._recur(emb, carry, None)
-        h_top = carry[1][0]
-        h_tilde, alpha, betas = self._readout(h_top, enc, context)
-        logits = T.matmul(h_tilde, self.params["out_proj"])
-        return StepResult(probs=T.softmax(logits), carry=carry,
-                          h_top=h_top, alpha=alpha, betas=betas)
-
-    def _recurrence(self, enc: EncoderStates, trg_in: np.ndarray, rng=None):
-        """Yield the top-layer state after each token of `trg_in` (B, N+1),
-        one step per request, so a caller can interleave its readout."""
-        emb = T.embedding(self.params["trg_emb"], trg_in)
-        emb = self._dropout(emb, rng)
-        carry = self.init_carry(enc)
-        for t in range(trg_in.shape[1]):
-            carry = self._recur(T.select(emb, 1, t), carry, rng)
-            yield carry[1][0]
+        layer_in = T.embedding(self.params["trg_emb"], np.asarray(y_prev))
+        new_carry = []
+        for layer, (h, c) in zip((1, 2), carry):
+            h, c = T.lstm_cell(layer_in, h, c, *self._cell(f"dec_l{layer}"))
+            new_carry.append((h, c))
+            layer_in = h
+        logits, alpha, betas = self._readout(layer_in, enc, context)
+        return StepResult(probs=T.softmax(logits), carry=new_carry,
+                          h_top=layer_in, alpha=alpha, betas=betas)
 
     def decoder_states(self, enc: EncoderStates, trg_in: np.ndarray
                        ) -> T.Tensor:
-        """Decoder states (B, N, H) over BOS + gold tokens `trg_in`.
-
-        The state for token n is the top-layer state after consuming y_n;
-        only the recurrence runs, since the states do not read attention.
-        """
-        return T.stack(list(self._recurrence(enc, trg_in))[1:], axis=1)
+        """Decoder states (B, N, H) over BOS + gold tokens `trg_in`: the
+        top-layer state after consuming each gold token, as
+        `forward_loss` saves them; only the decoder runs."""
+        states = self._decoder(trg_in, self.init_carry(enc), None)
+        return T.Tensor(states.data[:, 1:])
 
     def forward_loss(self, pos, context,
                      rng: Optional[np.random.Generator] = None
@@ -318,21 +321,13 @@ class TranslationModel:
         if full_mask.sum() == 0:
             raise ValueError("forward_loss on a batch position with no active rows")
         enc = self.encode(pos.src, pos.src_mask * pos.active[:, None], rng)
-        # each step's readout is recorded right after its recurrence, which
-        # fixes the order the gradients are summed in
-        h_tildes, h_tops = [], []
-        for h_top in self._recurrence(enc, pos.trg_in, rng):
-            h_tildes.append(self._readout(h_top, enc, context)[0])
-            h_tops.append(h_top)
-        h_tilde = T.stack(h_tildes, axis=1)
-        dec_states = T.stack(h_tops[1:], axis=1)
-        stacked = T.reshape(h_tilde, (-1, self.cfg.hidden_dim))
-        logits = T.matmul(stacked, self.params["out_proj"])
+        states = self._decoder(pos.trg_in, self.init_carry(enc), rng)
+        logits, _, _ = self._readout(states, enc, context)
         loss = T.cross_entropy(logits, pos.trg_out.reshape(-1),
                                full_mask.reshape(-1))
         prev = Previous(src=(pos.src, pos.src_mask), enc=(enc.states, enc.mask),
                         trg=(pos.trg, pos.trg_mask),
-                        dec=(dec_states, pos.trg_mask))
+                        dec=(T.Tensor(states.data[:, 1:]), pos.trg_mask))
         return loss, enc, prev, float(full_mask.sum())
 
 

@@ -260,30 +260,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return _make(tensors, bw, np.concatenate([t.data for t in tensors], axis=axis))
 
 
-def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    tensors = list(tensors)
-
-    def bw(out):
-        for i, t in enumerate(tensors):
-            if t.requires_grad:
-                t.accumulate_grad(np.take(out.grad, i, axis=axis), owned=True)
-
-    return _make(tensors, bw, np.stack([t.data for t in tensors], axis=axis))
-
-
-def select(x: Tensor, axis: int, index: int) -> Tensor:
-    """Pick one slice along `axis`, dropping that axis."""
-
-    def bw(out):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        sl = [slice(None)] * x.ndim
-        sl[axis] = index
-        x.grad[tuple(sl)] += out.grad
-
-    return _make((x,), bw, np.take(x.data, index, axis=axis))
-
-
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     def bw(out):
         x.accumulate_grad(out.grad.reshape(x.shape))
@@ -304,13 +280,17 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     return _make((table,), bw, table.data[ids])
 
 
-def dropout(x: Tensor, p: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: survivors scaled by 1/(1-p); draws nothing at p=0."""
+def dropout(x: Tensor, p: float, rng: np.random.Generator,
+            step_major: bool = False) -> Tensor:
+    """Inverted dropout: survivors scaled by 1/(1-p); draws nothing at p=0.
+    `step_major` draws x (B, T, ...)'s mask as T draws of (B, ...) would."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
         return x
-    mask = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
+    draw = rng.random(x.shape[1::-1] + x.shape[2:]).swapaxes(0, 1) \
+        if step_major else rng.random(x.shape)
+    mask = (draw >= p).astype(x.dtype) / (1.0 - p)
 
     def bw(out):
         x.accumulate_grad(mask * out.grad, owned=True)
@@ -407,32 +387,23 @@ def _gates_backward(gh: np.ndarray, gc: np.ndarray, c_prev: np.ndarray,
 
 
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
-              w_x: Tensor, w_h: Tensor, b: Tensor,
-              mask: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor]:
+              w_x: Tensor, w_h: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
     """One LSTM step with gates in i, f, g, o order; a single graph record.
 
     x: (B, In), h_prev/c_prev: (B, H), w_x: (In, 4H), w_h: (H, 4H), b: (4H,).
-    `mask` (B, 1), when given, carries the previous state through padded
-    rows: out = mask*new + (1-mask)*prev.
     """
     hidden = h_prev.shape[-1]
     if x.shape[-1] != w_x.shape[0] or w_x.shape[1] != 4 * hidden:
         raise ValueError(
             f"lstm_cell dimension mismatch: x {x.shape}, w_x {w_x.shape}, H={hidden}")
     z = x.data @ w_x.data + h_prev.data @ w_h.data + b.data
-    keep = None if mask is None else 1.0 - mask
-    h_data, c_data, saved = _gates(z, h_prev.data, c_prev.data, mask, keep)
+    h_data, c_data, saved = _gates(z, h_prev.data, c_prev.data, None, None)
 
     def bw(h_out, c_out):
         zero = np.zeros_like(h_data)
         gh = zero if h_out.grad is None else h_out.grad
         gc = zero if c_out.grad is None else c_out.grad
-        if mask is not None:
-            if h_prev.requires_grad:
-                h_prev.accumulate_grad(gh * keep, owned=True)
-            if c_prev.requires_grad:
-                c_prev.accumulate_grad(gc * keep, owned=True)
-        gz, gc_total = _gates_backward(gh, gc, c_prev.data, mask, saved)
+        gz, gc_total = _gates_backward(gh, gc, c_prev.data, None, saved)
         f = saved[0][:, hidden:2 * hidden]
         if x.requires_grad:
             x.accumulate_grad(gz @ w_x.data.T, owned=True)
@@ -451,29 +422,32 @@ def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
 
 
 def lstm_scan(x: Tensor, mask: np.ndarray,
-              cells: Sequence[tuple[Tensor, Tensor, Tensor]]
+              cells: Sequence[tuple[Tensor, Tensor, Tensor]],
+              initial: Optional[tuple[Tensor, Tensor]] = None
               ) -> tuple[Tensor, Tensor, Tensor]:
     """A whole LSTM layer over x (B, M, In) as a single graph record.
 
     `cells` holds one (w_x, w_h, b) per direction, shaped as for
     `lstm_cell`: the first reads left to right, a second, if given, right
-    to left.  Each starts from zero states and takes one `lstm_cell` step
-    per position; where `mask` (B, M) is 0 a row carries its state
-    through.  Returns the states (B, M, D*H) and the final h and c
-    (B, D*H), directions concatenated in `cells` order.
+    to left.  Each starts from zero states, or from `initial`, an (h, c)
+    pair shaped like the finals, and takes one `lstm_cell` step per
+    position; where `mask` (B, M) is 0 a row carries its state through.
+    Returns the states (B, M, D*H) and the final h and c (B, D*H),
+    directions concatenated in `cells` order.
 
     The directions advance together: each step makes one stacked matmul
     for the input projections of all directions and one for the
     recurrent ones, and runs the gate arithmetic once over the stacked
     pre-activations.  Each product is the BLAS call a chain of masked
-    `lstm_cell` records per direction makes (`select` each position,
-    `stack` the outputs, `concat` the directions), and the backward pass
-    sums every gradient in that chain's order, so states, finals and
-    gradients are bit for bit the chain's, at every shape.  Hoisting a
-    product out of the loop would not be: with OpenBLAS, one GEMM over
-    all B*M rows differs from the per-step products for a batch of one
-    row (which takes gemv) and at some widths, and so does one input
-    gradient GEMM over all steps, whose operand is transposed.
+    `lstm_cell` records per direction makes (picking each position,
+    stacking the outputs, concatenating the directions), and the
+    backward pass sums every gradient, those of `initial` included, in
+    that chain's order, so states, finals and gradients are bit for bit
+    the chain's, at every shape.  Hoisting a product out of the loop
+    would not be: with OpenBLAS, one GEMM over all B*M rows differs from
+    the per-step products for a batch of one row (which takes gemv) and
+    at some widths, and so does one input gradient GEMM over all steps,
+    whose operand is transposed.
     """
     if x.ndim != 3 or not 1 <= len(cells) <= 2:
         raise ValueError(f"lstm_scan needs x (B, M, In) and one or two "
@@ -491,6 +465,16 @@ def lstm_scan(x: Tensor, mask: np.ndarray,
     if mask.shape != (batch, steps):
         raise ValueError(f"lstm_scan mask {mask.shape} does not fit "
                          f"x {x.shape}")
+    initial = tuple(initial or ())
+    for name, state in zip("hc", initial):
+        if state.shape != (batch, len(cells) * hidden):
+            raise ValueError(f"lstm_scan initial {name} {state.shape} does "
+                             f"not fit ({batch}, {len(cells) * hidden})")
+
+    def per_step(g):
+        """(B, D*H) -> (direction, B, H)."""
+        return g.reshape(batch, len(cells), hidden).transpose(1, 0, 2)
+
     # step s of direction d reads position s, or steps-1-s right to left;
     # the per-step arrays are (step, direction, B, ...), the weights
     # (direction, ...)
@@ -506,6 +490,8 @@ def lstm_scan(x: Tensor, mask: np.ndarray,
     # hs[s] and cs[s] hold the state before step s
     hs = np.zeros((steps + 1, len(cells), batch, hidden), dtype=x.dtype)
     cs = np.zeros_like(hs)
+    for carried, state in zip((hs, cs), initial):
+        carried[0] = per_step(state.data)
     saved = []
     for s in range(steps):
         z = np.matmul(xs[s], w_x) + np.matmul(hs[s], w_h) + bias
@@ -517,10 +503,6 @@ def lstm_scan(x: Tensor, mask: np.ndarray,
             hs[1:, d][o].transpose(1, 0, 2)
     h_last = np.concatenate(list(hs[steps]), axis=-1)
     c_last = np.concatenate(list(cs[steps]), axis=-1)
-
-    def per_step(g):
-        """(B, D*H) -> (direction, B, H)."""
-        return g.reshape(batch, len(cells), hidden).transpose(1, 0, 2)
 
     def bw(states_out, h_out, c_out):
         zero = np.zeros_like(hs[0])
@@ -550,51 +532,65 @@ def lstm_scan(x: Tensor, mask: np.ndarray,
                 for p, gp in zip(cell, grads):
                     if p.requires_grad:
                         p.accumulate_grad(gp[d], owned=True)
-            if s > 0:
+            if s > 0 or initial:
                 # (output term + masked carry) + recurrent term, as the
                 # chain of cell records sums them
                 carry = gh_s * keeps[s]
-                gh = carry if g_states is None else g_states[s - 1] + carry
+                gh = carry if g_states is None or s == 0 \
+                    else g_states[s - 1] + carry
                 gh += np.matmul(gz, w_h_t)
                 gc = gc_s * keeps[s]
                 gc += gc_total * saved[s][0][..., hidden:2 * hidden]
+        for state, g in zip(initial, (gh, gc)):
+            if state.requires_grad and g is not None:
+                state.accumulate_grad(np.concatenate(list(g), axis=-1),
+                                      owned=True)
 
-    return _make((x,) + tuple(p for cell in cells for p in cell), bw,
-                 states, h_last, c_last)
+    return _make((x,) + tuple(p for cell in cells for p in cell) + initial,
+                 bw, states, h_last, c_last)
 
 
 def dot_attention(states: Tensor, mask: np.ndarray, query: Tensor
                   ) -> tuple[Tensor, Tensor]:
-    """Masked dot-score attention of query (B,H) over states (B,M,H).
+    """Masked dot-score attention of queries (B, T, H), or of one query
+    (B, H), over states (B, M, H).
 
-    Returns (mixture (B,H), weights (B,M)).  Weights are zero exactly on
-    masked positions and sum to 1 over the unmasked ones.
+    Returns (mixtures (B, T, H), weights (B, T, M)), or (B, H) and (B, M)
+    for one query.  Weights are zero exactly on masked positions and sum
+    to 1 over the unmasked ones.  Each query's scores and mixture are the
+    matrix-vector products a one-query call makes, so the forward pass
+    over T queries is bit for bit T one-query calls; one GEMM over all
+    queries would round differently under OpenBLAS.
     """
-    scores = np.matmul(states.data, query.data[:, :, None])[:, :, 0]
+    queries = query.data[:, None, :] if query.ndim == 2 else query.data
+    scores = np.matmul(states.data[:, None], queries[..., None])[..., 0]
     if np.isnan(scores).any():
         raise ValueError("attention scores contain NaN")
-    shifted = scores + (mask - 1.0) * 1e9
-    shifted = shifted - shifted.max(axis=1, keepdims=True)
+    shifted = scores + (mask[:, None, :] - 1.0) * 1e9
+    shifted = shifted - shifted.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    w = e / e.sum(axis=1, keepdims=True)
-    mixed = np.matmul(w[:, None, :], states.data)[:, 0, :]
+    w = e / e.sum(axis=-1, keepdims=True)
+    mixed = np.matmul(w[:, :, None, :], states.data[:, None])[:, :, 0]
 
     def bw(mix_out, w_out):
-        gmix = mix_out.grad
-        gw = np.matmul(states.data, gmix[:, :, None])[:, :, 0] \
-            if gmix is not None else np.zeros_like(w)
+        gmix = None if mix_out.grad is None \
+            else mix_out.grad.reshape(mixed.shape)
+        gw = np.zeros_like(w) if gmix is None \
+            else np.matmul(gmix, states.data.swapaxes(-1, -2))
         if w_out.grad is not None:
-            gw = gw + w_out.grad
-        gscores = w * (gw - (gw * w).sum(axis=1, keepdims=True))
+            gw = gw + w_out.grad.reshape(w.shape)
+        gscores = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
         if states.requires_grad:
-            gstates = gscores[:, :, None] * query.data[:, None, :]
+            gstates = np.matmul(gscores.swapaxes(-1, -2), queries)
             if gmix is not None:
-                gstates += w[:, :, None] * gmix[:, None, :]
+                gstates += np.matmul(w.swapaxes(-1, -2), gmix)
             states.accumulate_grad(gstates, owned=True)
         if query.requires_grad:
-            gq = np.matmul(gscores[:, None, :], states.data)[:, 0, :]
-            query.accumulate_grad(gq, owned=True)
+            gq = np.matmul(gscores, states.data)
+            query.accumulate_grad(gq.reshape(query.shape), owned=True)
 
+    if query.ndim == 2:
+        return _make((states, query), bw, mixed[:, 0], w[:, 0])
     return _make((states, query), bw, mixed, w)
 
 

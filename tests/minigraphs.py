@@ -75,18 +75,23 @@ def _lstm_chain(rng):
     return [w_x, w_h, b], forward
 
 
-def _concat_stack_select(rng):
-    a = _param(rng, 3, 4)
-    b = _param(rng, 3, 2)
-    c = T.Tensor(rng.normal(size=(6, 3)), dtype=np.float64)
+def _attention_readout(rng):
+    states = _param(rng, 2, 4, 3)
+    queries = _param(rng, 2, 3, 3)
+    w = _param(rng, 6, 2)
+    mask = np.array([[1.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]])
+    c = T.Tensor(rng.normal(size=(6, 2)), dtype=np.float64)
+    d = T.Tensor(rng.normal(size=(2, 3, 4)), dtype=np.float64)
 
     def forward():
-        joined = T.concat([T.tanh(a), b], axis=1)
-        # row 2 is selected twice, so its gradient accumulates; row 1 gets none
-        rows = T.stack([T.select(joined, 0, i) for i in (2, 0, 2)], axis=1)
-        return T.mean(T.mul(rows, c))
+        # three queries per row at once; the loss reads every query's
+        # mixture, through [query; mixture] rows, and its weights
+        mixed, weights = T.dot_attention(states, mask, queries)
+        rows = T.reshape(T.concat([queries, mixed], axis=-1), (6, 6))
+        loss = T.mean(T.mul(T.tanh(T.matmul(rows, w)), c))
+        return T.add(loss, T.reduce_sum(T.mul(weights, d)))
 
-    return [a, b], forward
+    return [states, queries, w], forward
 
 
 def _masked_attention(rng):
@@ -112,6 +117,7 @@ def _lstm_scan(rng):
     x = _param(rng, 2, 4, width)
     cells = [(_param(rng, width, 4 * hidden), _param(rng, hidden, 4 * hidden),
               _param(rng, 4 * hidden)) for _ in range(2)]
+    initial = (_param(rng, 2, 2 * hidden), _param(rng, 2, 2 * hidden))
     # the second row is padded after two tokens, so both directions carry
     # their state through padding
     mask = np.array([[1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 0.0]])
@@ -120,18 +126,19 @@ def _lstm_scan(rng):
                             (2, 2 * hidden))]
 
     def forward():
-        # the states and both finals reach the loss
-        outs = T.lstm_scan(x, mask, cells)
+        # the states and both finals reach the loss, and each direction
+        # starts from its half of the initial states
+        outs = T.lstm_scan(x, mask, cells, initial)
         loss = T.reduce_sum(T.mul(outs[0], probes[0]))
         for out, probe in zip(outs[1:], probes[1:]):
             loss = T.add(loss, T.reduce_sum(T.mul(T.tanh(out), probe)))
         return loss
 
-    return [x] + [p for cell in cells for p in cell], forward
+    return [x, *initial] + [p for cell in cells for p in cell], forward
 
 
 FAMILIES = [_affine_tanh, _softmax_pipeline, _embedding_loss, _lstm_chain,
-            _concat_stack_select, _masked_attention, _lstm_scan]
+            _attention_readout, _masked_attention, _lstm_scan]
 
 
 def build_minigraph(seed):

@@ -4,7 +4,9 @@ These deliberately avoid the library's autodiff path: gradients come from
 central finite differences over plain float functions, and the LSTM
 reference is a scalar loop over the gate equations.  The BPE learner and
 the paired bootstrap are the plain recount-everything versions of the
-library's incremental ones.
+library's incremental ones.  The per-step LSTM chain and decoder are the
+record-per-step versions of the library's scans: each step is its own
+tape record, as the library ran them before `lstm_scan`.
 """
 
 from collections import Counter
@@ -74,6 +76,144 @@ def scalar_lstm_step(x, h_prev, c_prev, w_x, w_h, b):
         c[j] = f_g * c_prev[j] + i_g * g_g
         h[j] = o_g * math.tanh(c[j])
     return h, c
+
+
+def masked_lstm_cell(x, h_prev, c_prev, w_x, w_h, b, mask=None):
+    """One LSTM step as its own tape record (gates in i, f, g, o order).
+
+    `mask` (B, 1), when given, carries the previous state through padded
+    rows: out = mask*new + (1-mask)*prev.
+    """
+    from docnmt.tensor import _gates, _gates_backward, _make
+
+    hidden = h_prev.shape[-1]
+    z = x.data @ w_x.data + h_prev.data @ w_h.data + b.data
+    keep = None if mask is None else 1.0 - mask
+    h_data, c_data, saved = _gates(z, h_prev.data, c_prev.data, mask, keep)
+
+    def bw(h_out, c_out):
+        zero = np.zeros_like(h_data)
+        gh = zero if h_out.grad is None else h_out.grad
+        gc = zero if c_out.grad is None else c_out.grad
+        if mask is not None:
+            if h_prev.requires_grad:
+                h_prev.accumulate_grad(gh * keep, owned=True)
+            if c_prev.requires_grad:
+                c_prev.accumulate_grad(gc * keep, owned=True)
+        gz, gc_total = _gates_backward(gh, gc, c_prev.data, mask, saved)
+        f = saved[0][:, hidden:2 * hidden]
+        if x.requires_grad:
+            x.accumulate_grad(gz @ w_x.data.T, owned=True)
+        if h_prev.requires_grad:
+            h_prev.accumulate_grad(gz @ w_h.data.T, owned=True)
+        if c_prev.requires_grad:
+            c_prev.accumulate_grad(gc_total * f, owned=True)
+        if w_x.requires_grad:
+            w_x.accumulate_grad(x.data.T @ gz, owned=True)
+        if w_h.requires_grad:
+            w_h.accumulate_grad(h_prev.data.T @ gz, owned=True)
+        if b.requires_grad:
+            b.accumulate_grad(gz.sum(axis=0), owned=True)
+
+    return _make((x, h_prev, c_prev, w_x, w_h, b), bw, h_data, c_data)
+
+
+def stack(tensors, axis=0):
+    """Stack tensors along a new axis, one tape record."""
+    from docnmt.tensor import _make
+
+    tensors = list(tensors)
+
+    def bw(out):
+        for i, t in enumerate(tensors):
+            if t.requires_grad:
+                t.accumulate_grad(np.take(out.grad, i, axis=axis), owned=True)
+
+    return _make(tensors, bw, np.stack([t.data for t in tensors], axis=axis))
+
+
+def select(x, axis, index):
+    """Pick one slice along `axis`, dropping that axis."""
+    from docnmt.tensor import _make
+
+    def bw(out):
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        sl = [slice(None)] * x.ndim
+        sl[axis] = index
+        x.grad[tuple(sl)] += out.grad
+
+    return _make((x,), bw, np.take(x.data, index, axis=axis))
+
+
+def cell_chain(x, mask, cells, initial=None):
+    """An LSTM layer as a chain of masked cell records per direction:
+    `select` each position, `stack` each direction, `concat` them.
+
+    `initial`, for one direction, is the (h, c) the chain starts from.
+    Returns what `lstm_scan` returns: states, final h, final c.
+    """
+    from docnmt import tensor as T
+
+    batch, steps, _ = x.shape
+    outputs, finals = [], []
+    for d, (w_x, w_h, b) in enumerate(cells):
+        if initial is not None:
+            h, c = initial
+        else:
+            h = T.Tensor(np.zeros((batch, w_h.shape[0]), dtype=x.dtype))
+            c = T.Tensor(np.zeros((batch, w_h.shape[0]), dtype=x.dtype))
+        states = [None] * steps
+        for t in (range(steps - 1, -1, -1) if d else range(steps)):
+            h, c = masked_lstm_cell(select(x, 1, t), h, c, w_x, w_h, b,
+                                    mask=mask[:, t:t + 1].astype(x.dtype))
+            states[t] = h
+        outputs.append(states)
+        finals.append((h, c))
+    if len(cells) == 1:
+        return stack(outputs[0], axis=1), finals[0][0], finals[0][1]
+    states = T.concat([stack(out, axis=1) for out in outputs], axis=-1)
+    return (states, T.concat([h for h, _ in finals], axis=-1),
+            T.concat([c for _, c in finals], axis=-1))
+
+
+def decoder_loss_reference(model, pos, context, rng=None):
+    """Teacher-forced loss for one batch position, the decoder one record
+    per step: each step's two cell records are followed right away by its
+    readout (attention, `attn_out`), and dropout between the layers is
+    drawn step by step.
+
+    Returns (loss, decoder states (B, N, H) after each gold token).
+    """
+    from docnmt import tensor as T
+    from docnmt.model import context_attention
+
+    p = model.params
+    full_mask = pos.out_mask * pos.active[:, None]
+    enc = model.encode(pos.src, pos.src_mask * pos.active[:, None], rng)
+    emb = T.embedding(p["trg_emb"], pos.trg_in)
+    if rng is not None:
+        emb = T.dropout(emb, model.cfg.dropout, rng)
+    (h1, c1), (h2, c2) = model.init_carry(enc)
+    h_tildes, h_tops = [], []
+    for t in range(pos.trg_in.shape[1]):
+        h1, c1 = T.lstm_cell(select(emb, 1, t), h1, c1, p["dec_l1_wx"],
+                             p["dec_l1_wh"], p["dec_l1_b"])
+        mid = h1 if rng is None else T.dropout(h1, model.cfg.dropout, rng)
+        h2, c2 = T.lstm_cell(mid, h2, c2, p["dec_l2_wx"], p["dec_l2_wh"],
+                             p["dec_l2_b"])
+        attn, _ = T.dot_attention(enc.states, enc.mask, h2)
+        pieces = [h2, attn]
+        if model.cfg.uses_context:
+            pieces.append(context_attention(h2, context)[0])
+        h_tildes.append(T.tanh(T.matmul(T.concat(pieces, axis=-1),
+                                        p["attn_out"])))
+        h_tops.append(h2)
+    h_tilde = T.reshape(stack(h_tildes, axis=1), (-1, model.cfg.hidden_dim))
+    logits = T.matmul(h_tilde, p["out_proj"])
+    loss = T.cross_entropy(logits, pos.trg_out.reshape(-1),
+                           full_mask.reshape(-1))
+    return loss, stack(h_tops[1:], axis=1)
 
 
 def _one_row(ids):

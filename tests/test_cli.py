@@ -106,6 +106,16 @@ class TestSynthPreprocess:
                      "--out-dir", str(tmp_path / "prep")])
         assert not (tmp_path / "prep").exists()
 
+    def test_empty_training_corpus_names_file(self, tmp_path):
+        src, trg = tmp_path / "empty.src", tmp_path / "empty.trg"
+        src.write_text("")
+        trg.write_text("")
+        with pytest.raises(ValueError, match=r"empty\.src: no documents"):
+            cli.run(["preprocess", "--train-src", str(src),
+                     "--train-trg", str(trg),
+                     "--out-dir", str(tmp_path / "prep")])
+        assert not (tmp_path / "prep").exists()
+
     @pytest.mark.parametrize("flag,value,setting", [
         ("--docs", "0", "num_documents"), ("--fillers", "0", "num_fillers")])
     def test_empty_corpus_rejected_before_writing(self, tmp_path, flag, value,
@@ -167,6 +177,26 @@ class TestTraining:
                      "--out", str(tmp_path / "st")])
         assert not (tmp_path / "st.bin").exists()
 
+    @pytest.mark.parametrize("command", ["train-baseline", "finetune"])
+    @pytest.mark.parametrize("side", ["train", "dev"])
+    def test_empty_corpus_names_file(self, pipeline, tmp_path, command,
+                                     side):
+        # an empty dev set would read BLEU 0.00 every epoch and keep epoch 1
+        _, _, _, models, common = pipeline
+        src, trg = tmp_path / f"{side}.src", tmp_path / f"{side}.trg"
+        src.write_text("")
+        trg.write_text("")
+        argv = [command, *common, f"--{side}-src", str(src),
+                f"--{side}-trg", str(trg), "--epochs", "1",
+                "--out", str(tmp_path / "m")]
+        if command == "finetune":
+            argv += ["--variant", "shared-target",
+                     "--baseline", str(models / "base")]
+        with pytest.raises(ValueError,
+                           match=rf"{side}\.src: no documents"):
+            cli.run(argv)
+        assert not (tmp_path / "m.bin").exists()
+
     @pytest.mark.parametrize("flag,value,setting", [
         ("--batch-docs", "-2", "max_docs_per_batch"),
         ("--grad-clip", "0", "grad_clip_norm")])
@@ -213,6 +243,19 @@ class TestTranslateEvaluateCompare:
         with pytest.raises(ValueError, match="n_resamples must be >= 1"):
             cli.run(["compare", str(hyp), str(hyp), str(data / "test.trg"),
                      "--n", "0"])
+
+    def test_empty_source_names_file(self, pipeline, tmp_path):
+        _, _, prep, models, _ = pipeline
+        src = tmp_path / "empty.src"
+        src.write_text("")
+        with pytest.raises(ValueError,
+                           match=r"empty\.src: no source sentences"):
+            cli.run(["translate", "--ckpt", str(models / "base"),
+                     "--src", str(src),
+                     "--src-vocab", str(prep / "syn.vocab.src"),
+                     "--trg-vocab", str(prep / "syn.vocab.trg"),
+                     "--out", str(tmp_path / "empty.hyp")])
+        assert not (tmp_path / "empty.hyp").exists()
 
     def test_gold_context_translation(self, pipeline, capsys):
         root, _, prep, models, _ = pipeline

@@ -13,7 +13,8 @@ from docnmt.model import (ModelConfig, Previous, TranslationModel, VARIANTS,
                           parameter_shapes, save_checkpoint)
 
 from model_helpers import position_cache, tiny_task, variant_family
-from oracles import finite_difference_grads, max_relative_error
+from oracles import (decoder_loss_reference, finite_difference_grads,
+                     max_relative_error)
 
 
 @pytest.fixture(scope="module")
@@ -474,6 +475,41 @@ class TestGradients:
                                           [p.data for p in params])
         assert max_relative_error(analytic, numeric) < 1e-5
         model.zero_grad()
+
+
+class TestDecoderOracle:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_forward_loss_matches_per_step_decoder(self, task, variant):
+        # float64 with dropout on: the scans and the one readout give the
+        # per-step decoder's loss, gradients and saved states up to the
+        # order gradients are summed in
+        seg, _, src_v, trg_v = task
+        cfg = ModelConfig(variant, 6, 8, len(src_v), len(trg_v), dropout=0.3)
+        model = TranslationModel(cfg, rng=T.make_rng(17, 0), dtype=np.float64)
+        batch = C.build_batch(seg, src_v, trg_v)
+        first, pos = batch.positions[0], batch.positions[1]
+        with T.no_grad():
+            _, _, prev, _ = model.forward_loss(first, [])
+
+        def run(forward):
+            rng = T.make_rng(17, 2)
+            model.zero_grad()
+            loss, dec = forward(pos, model.context_states(prev, rng), rng)
+            T.backward(loss, params=model.param_list())
+            return [loss.data, dec.data] + [p.grad.copy()
+                                            for p in model.param_list()]
+
+        def scans(pos, context, rng):
+            loss, _, prev, _ = model.forward_loss(pos, context, rng)
+            return loss, prev.dec[0]
+
+        got = run(scans)
+        want = run(lambda *args: decoder_loss_reference(model, *args))
+        assert got[0] != 0.0 and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            np.testing.assert_allclose(g, w, rtol=1e-12,
+                                       atol=1e-12 * np.abs(w).max())
 
 
 class TestCheckpoint:

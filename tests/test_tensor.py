@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 from docnmt import tensor as T
 
 from minigraphs import FAMILIES, build_minigraph
-from oracles import finite_difference_grads, max_relative_error, scalar_lstm_step
+from oracles import (cell_chain, finite_difference_grads, max_relative_error,
+                     scalar_lstm_step)
 
 
 class TestSoftmax:
@@ -103,28 +104,6 @@ class TestLstmCell:
             T.lstm_cell(bad_x, h0, h0, w_x, w_h, b)
 
 
-def _cell_chain(x, mask, cells):
-    """An LSTM layer as a chain of masked `lstm_cell` records per direction:
-    `select` each position, `stack` each direction, `concat` them."""
-    batch, steps, _ = x.shape
-    outputs, finals = [], []
-    for d, (w_x, w_h, b) in enumerate(cells):
-        h = T.Tensor(np.zeros((batch, w_h.shape[0]), dtype=x.dtype))
-        c = T.Tensor(np.zeros((batch, w_h.shape[0]), dtype=x.dtype))
-        states = [None] * steps
-        for t in (range(steps - 1, -1, -1) if d else range(steps)):
-            h, c = T.lstm_cell(T.select(x, 1, t), h, c, w_x, w_h, b,
-                               mask=mask[:, t:t + 1].astype(x.dtype))
-            states[t] = h
-        outputs.append(states)
-        finals.append((h, c))
-    if len(cells) == 1:
-        return T.stack(outputs[0], axis=1), finals[0][0], finals[0][1]
-    states = T.concat([T.stack(out, axis=1) for out in outputs], axis=-1)
-    return (states, T.concat([h for h, _ in finals], axis=-1),
-            T.concat([c for _, c in finals], axis=-1))
-
-
 class TestLstmScan:
     @settings(max_examples=40, deadline=None)
     @given(batch=st.sampled_from([1, 2, 5, 16]),
@@ -132,9 +111,12 @@ class TestLstmScan:
            width=st.integers(1, 64),
            hidden=st.integers(1, 64),
            directions=st.sampled_from([1, 2]),
+           start=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
     def test_equals_cell_chain_bit_for_bit(self, batch, steps, width, hidden,
-                                           directions, seed):
+                                           directions, start, seed):
+        # a one-direction layer may start from tracked random (h, c)
+        start = start and directions == 1
         rng = np.random.default_rng(seed)
         lengths = rng.integers(1, steps + 1, size=batch)
         lengths[0] = 1                      # a length-1 row, padded after
@@ -146,6 +128,8 @@ class TestLstmScan:
                   for shape in ((width, 4 * hidden), (hidden, 4 * hidden),
                                 (4 * hidden,)))
             for _ in range(directions)]
+        initial_data = [rng.normal(size=(batch, hidden)).astype(np.float32)
+                        for _ in range(2 if start else 0)]
         probes = [rng.normal(size=shape).astype(np.float32)
                   for shape in ((batch, steps, directions * hidden),
                                 (batch, directions * hidden),
@@ -155,17 +139,22 @@ class TestLstmScan:
             x = T.Tensor(x_data.copy(), requires_grad=True)
             cells = [tuple(T.Tensor(a.copy(), requires_grad=True)
                            for a in cell) for cell in cells_data]
-            outs = layer(x, mask, cells)
+            initial = tuple(T.Tensor(a.copy(), requires_grad=True)
+                            for a in initial_data) or None
+            outs = layer(x, mask, cells, initial)
             loss = T.reduce_sum(T.mul(outs[0], probes[0]))
             for out, probe in zip(outs[1:], probes[1:]):
                 loss = T.add(loss, T.reduce_sum(T.mul(out, probe)))
             T.backward(loss)
             return [out.data for out in outs] + [x.grad] + [
-                p.grad for cell in cells for p in cell]
+                p.grad for cell in cells for p in cell] + [
+                s.grad for s in initial or ()]
 
-        for got, want in zip(run(T.lstm_scan), run(_cell_chain)):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)
+        got, want = run(T.lstm_scan), run(cell_chain)
+        assert len(got) == len(want) == 4 + 3 * directions + 2 * start
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
 
     @pytest.mark.parametrize("x_shape,mask_shape,cell_shapes,named", [
         ((2, 3, 4), (2, 3), [((5, 8), (2, 8), (8,))], "w_x (5, 8)"),
@@ -174,15 +163,43 @@ class TestLstmScan:
         ((2, 3, 4), (2, 3), [((4, 8), (2, 8), (6,))], "b (6,)"),
         ((2, 3, 4), (3, 2), [((4, 8), (2, 8), (8,))], "mask (3, 2)"),
         ((2, 4), (2, 3), [((4, 8), (2, 8), (8,))], "x (2, 4)"),
-        ((2, 3, 4), (2, 3), [((4, 8), (2, 8), (8,))] * 3, "3 cells")])
+        ((2, 3, 4), (2, 3), [((4, 8), (2, 8), (8,))] * 3, "3 cells"),
+        ((2, 3, 4), (2, 3), [((4, 8), (2, 8), (8,))] * 2,
+         "initial h (2, 2) does not fit (2, 4)")])
     def test_mismatched_shapes_rejected(self, x_shape, mask_shape,
                                         cell_shapes, named):
         x = T.Tensor(np.zeros(x_shape), requires_grad=True)
         cells = [tuple(T.Tensor(np.zeros(s), requires_grad=True)
                        for s in shapes) for shapes in cell_shapes]
+        # a start state that fits one direction, given to two
+        initial = (T.Tensor(np.zeros((2, 2)), requires_grad=True),) * 2
         with pytest.raises(ValueError, match=re.escape(named)):
-            T.lstm_scan(x, np.ones(mask_shape), cells)
+            T.lstm_scan(x, np.ones(mask_shape), cells, initial)
         assert T.active_graph() == []
+
+
+class TestDotAttention:
+    @settings(max_examples=30, deadline=None)
+    @given(batch=st.sampled_from([1, 2, 16]), steps=st.integers(1, 9),
+           queries=st.integers(1, 9), hidden=st.integers(1, 64),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_queries_equal_one_query_calls_bit_for_bit(
+            self, batch, steps, queries, hidden, dtype, seed):
+        rng = np.random.default_rng(seed)
+        states = T.Tensor(rng.normal(size=(batch, steps, hidden)), dtype=dtype)
+        query = T.Tensor(rng.normal(size=(batch, queries, hidden)),
+                         dtype=dtype)
+        mask = (rng.random((batch, steps)) < 0.7).astype(np.float32)
+        mask[:, 0] = 1.0
+        mixed, weights = T.dot_attention(states, mask, query)
+        for t in range(queries):
+            one = T.Tensor(np.ascontiguousarray(query.data[:, t]))
+            mixed_t, weights_t = T.dot_attention(states, mask, one)
+            assert mixed_t.shape == (batch, hidden)
+            assert weights_t.shape == (batch, steps)
+            np.testing.assert_array_equal(mixed.data[:, t], mixed_t.data)
+            np.testing.assert_array_equal(weights.data[:, t], weights_t.data)
 
 
 class TestBackward:
