@@ -143,9 +143,13 @@ def cmd_preprocess(args) -> int:
                      args.train_src)
     extra_docs = {tag: _nonempty(C.load_documents(*pair), pair[0])
                   for tag, pair in extras.items() if pair[0]}
+    kept = C.filter_documents(docs, max_len=args.max_len)
+    if not kept:
+        raise ValueError(f"{args.train_src} / {args.train_trg}: every "
+                         f"document has a sentence longer than --max-len "
+                         f"{args.max_len}")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    kept = C.filter_documents(docs, max_len=args.max_len)
     src_model = B.learn_bpe([s for d in kept for s in d.src_sentences],
                             args.merges)
     trg_model = B.learn_bpe([t for d in kept for t in d.trg_sentences],

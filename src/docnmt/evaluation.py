@@ -12,8 +12,8 @@ first-sentence output).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 import math
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -27,6 +27,9 @@ from .bpe import Vocabulary
 from .model import CONTEXTS, EncoderStates, Previous, TranslationModel
 
 MAX_RATIO = 2.0  # a hypothesis ends by this many times its source length
+# sentence pairs whose n-grams are counted together; bounds the transient
+# arrays of `pair_stats`
+STATS_BLOCK = 1024
 
 
 @dataclass
@@ -214,21 +217,54 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _ngrams(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _block_stats(hyps: Sequence[Sequence[str]],
+                 refs: Sequence[Sequence[str]]) -> np.ndarray:
+    """`pair_stats` of one block of pairs.
+
+    An order-k n-gram of a pair is coded as the dense rank of (its
+    order-(k-1) prefix's code, its last token); the order-0 code is the
+    pair's index.  So a pair's hypothesis and reference share each
+    n-gram's code, other pairs never do, and codes stay below the
+    position count: nothing overflows.
+    """
+    n = len(hyps)
+    lengths = np.fromiter(map(len, chain(hyps, refs)), dtype=np.int64,
+                          count=2 * n)
+    hyp_len, ref_len = lengths[:n], lengths[n:]
+    flat = list(chain.from_iterable(chain(hyps, refs)))
+    ids = {t: i for i, t in enumerate(dict.fromkeys(flat))}
+    tok = np.fromiter(map(ids.__getitem__, flat), dtype=np.int64,
+                      count=len(flat))
+    # hypothesis positions come first; the tokens from each position to
+    # its sentence's end
+    left = np.repeat(np.cumsum(lengths), lengths) - np.arange(len(tok))
+    code = np.repeat(np.tile(np.arange(n), 2), lengths)  # order 0: the pair
+    at, owner = np.arange(len(tok)), np.arange(n)  # owner: each code's pair
+    rows = np.zeros((n, 10), dtype=np.int64)
+    for k in range(1, 5):
+        at = at[left[at] >= k]  # positions that start an order-k n-gram
+        uniq, code[at] = np.unique(code[at] * len(ids) + tok[at + k - 1],
+                                   return_inverse=True)
+        owner = owner[uniq // len(ids)]
+        split = np.searchsorted(at, hyp_len.sum())
+        # each code's clipped count: the smaller of its two sides' counts
+        clip = np.minimum(np.bincount(code[at[:split]], minlength=len(uniq)),
+                          np.bincount(code[at[split:]], minlength=len(uniq)))
+        rows[:, k - 1] = np.bincount(owner, weights=clip, minlength=n)
+        rows[:, 4 + k - 1] = np.maximum(hyp_len - k + 1, 0)
+    rows[:, 8], rows[:, 9] = hyp_len, ref_len
+    return rows
 
 
-def sentence_stats(hyp: Sequence[str], ref: Sequence[str]) -> np.ndarray:
-    """[clip_1..4, total_1..4, hyp_len, ref_len] for one sentence pair."""
-    row = np.zeros(10, dtype=np.int64)
-    for n in range(1, 5):
-        hyp_counts = _ngrams(hyp, n)
-        ref_counts = _ngrams(ref, n)
-        row[n - 1] = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
-        row[4 + n - 1] = max(len(hyp) - n + 1, 0)
-    row[8] = len(hyp)
-    row[9] = len(ref)
-    return row
+def pair_stats(hyps: Sequence[Sequence[str]],
+               refs: Sequence[Sequence[str]]) -> np.ndarray:
+    """[clip_1..4, total_1..4, hyp_len, ref_len] per sentence pair: an
+    (n, 10) int64 array, counted `STATS_BLOCK` pairs at a time."""
+    rows = np.empty((len(hyps), 10), dtype=np.int64)
+    for start in range(0, len(hyps), STATS_BLOCK):
+        end = start + STATS_BLOCK
+        rows[start:end] = _block_stats(hyps[start:end], refs[start:end])
+    return rows
 
 
 def _bleu_from_totals(totals: np.ndarray) -> tuple[float, list[float], float]:
@@ -249,9 +285,7 @@ def bleu(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]
     """Corpus BLEU-4 with clipped precisions and brevity penalty, unsmoothed."""
     if len(hyps) != len(refs):
         raise ValueError(f"{len(hyps)} hypotheses vs {len(refs)} references")
-    totals = np.zeros(10, dtype=np.int64)
-    for hyp, ref in zip(hyps, refs):
-        totals += sentence_stats(hyp, ref)
+    totals = pair_stats(hyps, refs).sum(axis=0)
     score, precisions, bp = _bleu_from_totals(totals)
     return EvalReport(bleu=score, precisions=precisions, brevity_penalty=bp,
                       hyp_length=int(totals[8]), ref_length=int(totals[9]))
@@ -299,16 +333,18 @@ def bootstrap_significance(hyps_a: Sequence[Sequence[str]],
         raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
     n_sents = len(refs)
     # both systems side by side: columns 0-9 are A's statistics, 10-19 B's
-    stats = np.hstack([
-        np.stack([sentence_stats(h, r) for h, r in zip(hyps, refs)])
-        for hyps in (hyps_a, hyps_b)])
+    stats = np.hstack([pair_stats(hyps, refs) for hyps in (hyps_a, hyps_b)])
+    # one float64 GEMV per resample; every partial sum is an integer of at
+    # most n_sents times the longest sentence, far below 2**53, so exact
+    weights = stats.astype(np.float64)
     rng = np.random.default_rng(seed)
     not_better = 0
     ties = 0
     deltas = np.empty(n_resamples)
     for k in range(n_resamples):
         idx = rng.integers(0, n_sents, size=n_sents)
-        totals = np.bincount(idx, minlength=n_sents) @ stats
+        totals = (np.bincount(idx, minlength=n_sents).astype(np.float64)
+                  @ weights).astype(np.int64)
         score_a, _, _ = _bleu_from_totals(totals[:10])
         score_b, _, _ = _bleu_from_totals(totals[10:])
         deltas[k] = score_b - score_a

@@ -4,7 +4,9 @@ These deliberately avoid the library's autodiff path: gradients come from
 central finite differences over plain float functions, and the LSTM
 reference is a scalar loop over the gate equations.  The BPE learner and
 the paired bootstrap are the plain recount-everything versions of the
-library's incremental ones.  The per-step LSTM chain and decoder are the
+library's incremental ones, and the BLEU statistics are counted with one
+`Counter` per sentence and n-gram order where the library counts integer
+n-gram codes in numpy blocks.  The per-step LSTM chain and decoder are the
 record-per-step versions of the library's scans: each step is its own
 tape record, as the library ran them before `lstm_scan`.
 """
@@ -366,13 +368,30 @@ def learn_bpe_reference(sentences, num_merges):
     return BpeModel(merges)
 
 
+def _ngrams(tokens, n):
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def sentence_stats(hyp, ref):
+    """[clip_1..4, total_1..4, hyp_len, ref_len] for one sentence pair."""
+    row = np.zeros(10, dtype=np.int64)
+    for n in range(1, 5):
+        hyp_counts = _ngrams(hyp, n)
+        ref_counts = _ngrams(ref, n)
+        row[n - 1] = sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+        row[4 + n - 1] = max(len(hyp) - n + 1, 0)
+    row[8] = len(hyp)
+    row[9] = len(ref)
+    return row
+
+
 def bootstrap_reference(hyps_a, hyps_b, refs, n_resamples, seed):
     """Paired bootstrap over sentences, each resample summed row by row.
 
     Returns (p_value, mean_delta, wins_b, ties) for "B better than A": p is
     the fraction of resamples where BLEU(B) <= BLEU(A).
     """
-    from docnmt.evaluation import _bleu_from_totals, sentence_stats
+    from docnmt.evaluation import _bleu_from_totals
 
     n_sents = len(refs)
     stats_a = np.stack([sentence_stats(h, r) for h, r in zip(hyps_a, refs)])

@@ -2,12 +2,15 @@ import json
 import re
 import sys
 
+import numpy as np
 import pytest
 
 from docnmt import bpe as B
 from docnmt import cli
 from docnmt import corpus as C
 from docnmt import evaluation as E
+
+from oracles import bootstrap_reference, sentence_stats
 
 
 def run_ok(argv):
@@ -113,6 +116,17 @@ class TestSynthPreprocess:
         with pytest.raises(ValueError, match=r"empty\.src: no documents"):
             cli.run(["preprocess", "--train-src", str(src),
                      "--train-trg", str(trg),
+                     "--out-dir", str(tmp_path / "prep")])
+        assert not (tmp_path / "prep").exists()
+
+    def test_max_len_dropping_every_document_rejected_before_writing(
+            self, pipeline, tmp_path):
+        _, data, _, _, _ = pipeline
+        match = r"train\.src / .*train\.trg: every document has a sentence " \
+                r"longer than --max-len 1$"
+        with pytest.raises(ValueError, match=match):
+            cli.run(["preprocess", "--train-src", str(data / "train.src"),
+                     "--train-trg", str(data / "train.trg"), "--max-len", "1",
                      "--out-dir", str(tmp_path / "prep")])
         assert not (tmp_path / "prep").exists()
 
@@ -352,6 +366,56 @@ class TestHypothesisFiles:
             cli.run(["evaluate", "--hyp", str(hyp), "--ref", str(ref)])
         with pytest.raises(ValueError, match=match):
             cli.run(["compare", str(ref), str(hyp), str(ref)])
+
+
+class TestReportsAgainstOracle:
+    """`evaluate --out` and `compare --out` over more than one block of
+    sentence pairs hold the records the `Counter` oracle's statistics give."""
+
+    def test_records_match_oracle_statistics(self, tmp_path):
+        rng = np.random.default_rng(5)
+        words = [f"w{i}" for i in range(12)]
+        n_docs = E.STATS_BLOCK // 5 + 10
+        refs = [[rng.choice(words, size=rng.integers(1, 9)).tolist()
+                 for _ in range(5)] for _ in range(n_docs)]
+
+        def system(keep, empty):
+            # each token kept with probability `keep`; some sentences empty
+            return [[[] if rng.random() < empty else
+                     [t if rng.random() < keep else str(rng.choice(words))
+                      for t in sent] for sent in doc] for doc in refs]
+        hyp_a, hyp_b = system(0.6, 0.1), system(0.61, 0.1)
+        paths = {}
+        for name, blocks in (("ref", refs), ("a", hyp_a), ("b", hyp_b)):
+            paths[name] = str(tmp_path / f"{name}.txt")
+            C.save_blocks(blocks, paths[name])
+        flat = {name: [s for doc in blocks for s in doc] for name, blocks in
+                (("ref", refs), ("a", hyp_a), ("b", hyp_b))}
+        assert len(flat["ref"]) > E.STATS_BLOCK
+        assert [] in flat["a"] and [] in flat["b"]
+
+        def oracle_bleu(hyps):
+            totals = sum(sentence_stats(h, r)
+                         for h, r in zip(hyps, flat["ref"]))
+            return totals, E._bleu_from_totals(totals)
+
+        totals, (score, precisions, bp) = oracle_bleu(flat["a"])
+        want = E.EvalReport(score, precisions, bp, int(totals[8]),
+                            int(totals[9])).records()
+        run_ok(["evaluate", "--hyp", paths["a"], "--ref", paths["ref"],
+                "--out", str(tmp_path / "a.eval")])
+        assert (tmp_path / "a.eval").read_text() == want
+
+        p, mean_delta, wins_b, ties = bootstrap_reference(
+            flat["a"], flat["b"], flat["ref"], 50, 3)
+        want = E.SignificanceResult(
+            p, 50, mean_delta, wins_b, ties, oracle_bleu(flat["a"])[1][0],
+            oracle_bleu(flat["b"])[1][0])
+        run_ok(["compare", paths["a"], paths["b"], paths["ref"], "--n", "50",
+                "--seed", "3", "--out", str(tmp_path / "ab.compare")])
+        assert (tmp_path / "ab.compare").read_text() == \
+            f"bleu_a={want.bleu_a:.2f}\nbleu_b={want.bleu_b:.2f}\n" \
+            + want.records()
 
 
 class TestParams:

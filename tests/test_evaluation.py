@@ -11,7 +11,8 @@ from docnmt import tensor as T
 from docnmt.model import ModelConfig, TranslationModel, VARIANTS
 
 from model_helpers import tiny_task, variant_family
-from oracles import beam_reference, bootstrap_reference, greedy_reference
+from oracles import (beam_reference, bootstrap_reference, greedy_reference,
+                     sentence_stats)
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +30,24 @@ def eos_prone_model(variant, src_v, trg_v, seed):
         rng=T.make_rng(seed, 0))
     model.params["out_proj"].data[:, B.EOS] *= 8.0
     return model
+
+
+def recording(model):
+    """A model sharing `model`'s weights that keeps the probabilities of
+    every `decode_step`: one list of steps per batch position."""
+    copy = TranslationModel(model.cfg, params=model.params)
+    steps = []
+
+    def encode(*args):
+        steps.append([])
+        return TranslationModel.encode(copy, *args)
+
+    def decode_step(*args):
+        res = TranslationModel.decode_step(copy, *args)
+        steps[-1].append(res.probs.data.copy())
+        return res
+    copy.encode, copy.decode_step = encode, decode_step
+    return copy, steps
 
 
 class TestBleu:
@@ -76,6 +95,32 @@ class TestBleu:
     def test_empty_hypothesis_scores_zero(self):
         report = E.bleu([[]], [["a", "b"]])
         assert report.bleu == 0.0
+
+
+class TestPairStats:
+    # the sides share "c" and "d" and no other token; sentences may be
+    # empty or shorter than 4 tokens, and three letters repeat n-grams
+    PAIR = st.tuples(st.lists(st.sampled_from("abcd"), max_size=7),
+                     st.lists(st.sampled_from("cdef"), max_size=7))
+    SIZES = (E.STATS_BLOCK - 1, E.STATS_BLOCK, E.STATS_BLOCK + 1,
+             2 * E.STATS_BLOCK + 3)
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data(),
+           n_pairs=st.one_of(st.integers(0, 10), st.sampled_from(SIZES)))
+    def test_matches_counter_oracle(self, data, n_pairs):
+        pairs = data.draw(st.lists(self.PAIR, min_size=min(n_pairs, 1),
+                                   max_size=min(n_pairs, 10)))
+        if n_pairs > len(pairs):  # corpora of a block or more repeat the
+            # drawn pairs in a random order
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            pairs = [pairs[i] for i in rng.integers(0, len(pairs),
+                                                    size=n_pairs)]
+        hyps, refs = [h for h, _ in pairs], [r for _, r in pairs]
+        got = E.pair_stats(hyps, refs)
+        assert got.dtype == np.int64 and got.shape == (n_pairs, 10)
+        for row, hyp, ref in zip(got, hyps, refs):
+            assert row.tolist() == sentence_stats(hyp, ref).tolist()
 
 
 class TestBootstrap:
@@ -283,6 +328,31 @@ class TestTranslate:
                                     beam_size=beam, gold_context=gold)[0][0]
                  for doc in docs]
         assert batched == alone
+
+    @settings(max_examples=8, deadline=None)
+    @given(order=st.permutations(range(5)), seed=st.integers(0, 2**16))
+    def test_batch_of_four_within_float32_rounding_at_h64(self, task, order,
+                                                          seed):
+        """At E=H=64 a document decoded alone is not bitwise its decoding in
+        a batch (OpenBLAS rounds a one-row product differently): every
+        `decode_step` probability stays within 4 float32 epsilons, relative,
+        of the batched one, and no greedy hypothesis flips."""
+        _, seg, _, src_v, trg_v = task
+        docs = [seg[i] for i in order[:4]]
+        model = TranslationModel(
+            ModelConfig("shared-target", 64, 64, len(src_v), len(trg_v)),
+            rng=T.make_rng(seed, 0))
+        batch_model, batch_steps = recording(model)
+        batched, _ = E.translate_corpus(batch_model, docs, src_v, trg_v)
+        for row, doc in enumerate(docs):
+            alone_model, alone_steps = recording(model)
+            alone, _ = E.translate_corpus(alone_model, [doc], src_v, trg_v)
+            assert alone[0] == batched[row]
+            for pos, steps in enumerate(alone_steps):
+                for k, probs in enumerate(steps):
+                    np.testing.assert_allclose(
+                        probs[0], batch_steps[pos][k][row],
+                        rtol=4 * np.finfo(np.float32).eps, atol=0)
 
     def test_gold_context_accepts_documents_with_gold_targets(self, task):
         _, seg, _, src_v, trg_v = task
