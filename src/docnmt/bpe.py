@@ -188,9 +188,16 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path) -> "Vocabulary":
+        seen = dict.fromkeys(RESERVED, "a reserved token")
         with open(path, encoding="utf-8") as f:
-            tokens = [line.rstrip("\n") for line in f if line.rstrip("\n")]
-        return cls(tokens)
+            for number, line in enumerate(f, 1):
+                token = line.rstrip("\n")
+                if token in seen:
+                    raise ValueError(f"{path}, line {number}: token "
+                                     f"{token!r} repeats {seen[token]}")
+                if token:
+                    seen[token] = f"line {number}"
+        return cls(list(seen)[len(RESERVED):])
 
 
 def build_vocab(segmented_sentences: Iterable[Sequence[str]]) -> Vocabulary:

@@ -271,11 +271,14 @@ def cmd_evaluate(args) -> int:
     ref_docs = _nonempty(C.load_blocks(args.ref), args.ref,
                          "reference sentences")
     hyp_docs = C.load_blocks(args.hyp, [len(doc) for doc in ref_docs])
+    metas = C.load_meta(args.meta) if args.meta else []
+    if args.meta and len(metas) != len(ref_docs):
+        raise ValueError(f"{args.meta} has {len(metas)} records, {args.ref} "
+                         f"has {len(ref_docs)} documents")
     report = E.bleu(_flatten(hyp_docs), _flatten(ref_docs))
     print(report.pretty())
     records = report.records()
     if args.meta:
-        metas = C.load_meta(args.meta)
         slots = E.score_slots(hyp_docs, metas)
         print(f"slot accuracy {slots.slot_accuracy:.4f} over {slots.n_slots} "
               f"slots; self-consistency {slots.self_consistency:.4f}")

@@ -338,11 +338,15 @@ def save_meta(metas: Sequence[SlotMeta], path) -> None:
 def load_meta(path) -> list[SlotMeta]:
     metas = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for number, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if not line:
                 continue
-            doc_id, choice, slots = line.split("\t")
-            indices = [int(s) for s in slots.split(",")] if slots else []
+            try:
+                doc_id, choice, slots = line.split("\t")
+                indices = [int(s) for s in slots.split(",")] if slots else []
+            except ValueError:
+                raise ValueError(f"{path}, line {number}: cannot read "
+                                 f"{line!r}") from None
             metas.append(SlotMeta(doc_id, choice, indices))
     return metas

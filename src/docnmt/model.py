@@ -362,30 +362,38 @@ def save_checkpoint(model: TranslationModel, prefix: str) -> None:
 
 def load_checkpoint(prefix: str) -> TranslationModel:
     """Read a checkpoint, checking its parameters against its config."""
+    path = f"{prefix}.manifest"
     fields: dict[str, str] = {}
     order: list[tuple[str, tuple[int, ...]]] = []
-    with open(f"{prefix}.manifest", encoding="utf-8") as f:
-        for line in f:
+    with open(path, encoding="utf-8") as f:
+        for number, line in enumerate(f, 1):
             line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("param\t"):
-                _, name, dims = line.split("\t")
-                order.append((name, tuple(int(d) for d in dims.split(","))))
-            else:
-                key, value = line.split("=", 1)
-                fields[key] = value
+            try:
+                if line.startswith("param\t"):
+                    _, name, dims = line.split("\t")
+                    order.append((name, tuple(map(int, dims.split(",")))))
+                elif line:
+                    key, value = line.split("=", 1)
+                    fields[key] = value
+            except ValueError:
+                raise ValueError(f"{path}, line {number}: cannot read "
+                                 f"{line!r}") from None
     if fields.get("layers") != "2":
-        raise ValueError(f"{prefix}.manifest: layers={fields.get('layers')}, "
+        raise ValueError(f"{path}: layers={fields.get('layers')}, "
                          "only the two-layer architecture is supported")
-    cfg = ModelConfig(
-        variant=fields["variant"],
-        emb_dim=int(fields["emb_dim"]),
-        hidden_dim=int(fields["hidden_dim"]),
-        src_vocab_size=int(fields["src_vocab_size"]),
-        trg_vocab_size=int(fields["trg_vocab_size"]),
-        dropout=float(fields["dropout"]),
-    )
+    settings = {}
+    for key, kind in (("variant", str), ("emb_dim", int), ("hidden_dim", int),
+                      ("src_vocab_size", int), ("trg_vocab_size", int),
+                      ("dropout", float)):
+        try:
+            settings[key] = kind(fields[key])
+        except (KeyError, ValueError):
+            raise ValueError(f"{path}: needs {key}= as {kind.__name__}, got "
+                             f"{fields.get(key)!r}") from None
+    try:
+        cfg = ModelConfig(**settings)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     shapes = parameter_shapes(cfg)
     listed = dict(order)
     for name in {**shapes, **listed}:
@@ -398,9 +406,9 @@ def load_checkpoint(prefix: str) -> TranslationModel:
                 f"{shapes[name]}"
         else:
             continue
-        raise ValueError(f"{prefix}.manifest: parameter {name} {problem}")
+        raise ValueError(f"{path}: parameter {name} {problem}")
     if order != list(shapes.items()):
-        raise ValueError(f"{prefix}.manifest: parameters are not listed "
+        raise ValueError(f"{path}: parameters are not listed "
                          "once each in canonical order")
     blob = np.fromfile(f"{prefix}.bin", dtype="<f4")
     if blob.size != param_count(cfg):

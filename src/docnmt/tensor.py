@@ -7,7 +7,7 @@ back to the inputs.  Records accumulate in execution order, so reverse
 iteration is a valid backward schedule and `backward` needs no graph
 search; it consumes the tape and clears it.
 
-The recurrent hot spots (LSTM step, masked dot attention, cross-entropy)
+The recurrent hot spots (LSTM layer, masked dot attention, cross-entropy)
 are single fused records with hand-written backward passes; everything
 else is composed from small elementwise and linear-algebra ops.
 
@@ -334,13 +334,13 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
 
 
 def _gates(z: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
-           mask: Optional[np.ndarray], keep: Optional[np.ndarray]):
+           mask: np.ndarray, keep: np.ndarray):
     """The LSTM step's arithmetic from pre-activations z (..., 4H), gates in
     i, f, g, o order; the i, f and o sigmoids run in one pass over z.
 
-    `mask` (..., 1), when given, carries the previous state through padded
-    rows, and `keep` is 1 - mask.  Returns the new h and c and what
-    `_gates_backward` needs.
+    `mask` (..., 1) carries the previous state through padded rows, and
+    `keep` is 1 - mask.  Returns the new h and c and what `_gates_backward`
+    needs.
     """
     hidden = z.shape[-1] // 4
     sig = 0.5 * z
@@ -352,23 +352,21 @@ def _gates(z: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     c_new += sig[..., :hidden] * g
     tc = np.tanh(c_new)
     h_new = sig[..., 3 * hidden:] * tc
-    if mask is not None:
-        h_new *= mask
-        h_new += keep * h_prev
-        c_new = mask * c_new + keep * c_prev
+    h_new *= mask
+    h_new += keep * h_prev
+    c_new = mask * c_new + keep * c_prev
     return h_new, c_new, (sig, g, tc)
 
 
 def _gates_backward(gh: np.ndarray, gc: np.ndarray, c_prev: np.ndarray,
-                    mask: Optional[np.ndarray], saved):
+                    mask: np.ndarray, saved):
     """Gradients of the pre-activations z and of the unmasked new cell,
     from the gradients of a step's outputs h and c.  The caller passes
     the masked carries, `gh * keep` and `gc * keep`, back to the previous
     state itself."""
     sig, g, tc = saved
     hidden = gh.shape[-1]
-    if mask is not None:
-        gh, gc = gh * mask, gc * mask
+    gh, gc = gh * mask, gc * mask
     gc_total = gh * sig[..., 3 * hidden:]
     gc_total *= 1.0 - tc * tc
     gc_total += gc
@@ -388,37 +386,14 @@ def _gates_backward(gh: np.ndarray, gc: np.ndarray, c_prev: np.ndarray,
 
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
               w_x: Tensor, w_h: Tensor, b: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step with gates in i, f, g, o order; a single graph record.
+    """One LSTM step with gates in i, f, g, o order: `lstm_scan` over one
+    unmasked position, started from (h_prev, c_prev).
 
     x: (B, In), h_prev/c_prev: (B, H), w_x: (In, 4H), w_h: (H, 4H), b: (4H,).
     """
-    hidden = h_prev.shape[-1]
-    if x.shape[-1] != w_x.shape[0] or w_x.shape[1] != 4 * hidden:
-        raise ValueError(
-            f"lstm_cell dimension mismatch: x {x.shape}, w_x {w_x.shape}, H={hidden}")
-    z = x.data @ w_x.data + h_prev.data @ w_h.data + b.data
-    h_data, c_data, saved = _gates(z, h_prev.data, c_prev.data, None, None)
-
-    def bw(h_out, c_out):
-        zero = np.zeros_like(h_data)
-        gh = zero if h_out.grad is None else h_out.grad
-        gc = zero if c_out.grad is None else c_out.grad
-        gz, gc_total = _gates_backward(gh, gc, c_prev.data, None, saved)
-        f = saved[0][:, hidden:2 * hidden]
-        if x.requires_grad:
-            x.accumulate_grad(gz @ w_x.data.T, owned=True)
-        if h_prev.requires_grad:
-            h_prev.accumulate_grad(gz @ w_h.data.T, owned=True)
-        if c_prev.requires_grad:
-            c_prev.accumulate_grad(gc_total * f, owned=True)
-        if w_x.requires_grad:
-            w_x.accumulate_grad(x.data.T @ gz, owned=True)
-        if w_h.requires_grad:
-            w_h.accumulate_grad(h_prev.data.T @ gz, owned=True)
-        if b.requires_grad:
-            b.accumulate_grad(gz.sum(axis=0), owned=True)
-
-    return _make((x, h_prev, c_prev, w_x, w_h, b), bw, h_data, c_data)
+    x = reshape(x, (x.shape[0], 1, x.shape[-1]))
+    mask = np.ones((x.shape[0], 1), dtype=x.dtype)
+    return lstm_scan(x, mask, [(w_x, w_h, b)], initial=(h_prev, c_prev))[1:]
 
 
 def lstm_scan(x: Tensor, mask: np.ndarray,
@@ -430,8 +405,8 @@ def lstm_scan(x: Tensor, mask: np.ndarray,
     `cells` holds one (w_x, w_h, b) per direction, shaped as for
     `lstm_cell`: the first reads left to right, a second, if given, right
     to left.  Each starts from zero states, or from `initial`, an (h, c)
-    pair shaped like the finals, and takes one `lstm_cell` step per
-    position; where `mask` (B, M) is 0 a row carries its state through.
+    pair shaped like the finals, and takes one LSTM step per position;
+    where `mask` (B, M) is 0 a row carries its state through.
     Returns the states (B, M, D*H) and the final h and c (B, D*H),
     directions concatenated in `cells` order.
 
@@ -439,7 +414,7 @@ def lstm_scan(x: Tensor, mask: np.ndarray,
     for the input projections of all directions and one for the
     recurrent ones, and runs the gate arithmetic once over the stacked
     pre-activations.  Each product is the BLAS call a chain of masked
-    `lstm_cell` records per direction makes (picking each position,
+    one-step records per direction makes (picking each position,
     stacking the outputs, concatenating the directions), and the
     backward pass sums every gradient, those of `initial` included, in
     that chain's order, so states, finals and gradients are bit for bit
@@ -484,7 +459,9 @@ def lstm_scan(x: Tensor, mask: np.ndarray,
     m_steps = mask.astype(x.dtype).T[:, :, None]
     ms = np.stack([m_steps[o] for o in order], axis=1)
     keeps = 1.0 - ms
-    w_x, w_h, bias = (np.stack([cell[k].data for cell in cells])
+    # one direction reads its weights as views: a decoding step copies none
+    w_x, w_h, bias = (cells[0][k].data[None] if len(cells) == 1 else
+                      np.stack([cell[k].data for cell in cells])
                       for k in range(3))
     bias = bias[:, None, :]
     # hs[s] and cs[s] hold the state before step s

@@ -80,28 +80,27 @@ def scalar_lstm_step(x, h_prev, c_prev, w_x, w_h, b):
     return h, c
 
 
-def masked_lstm_cell(x, h_prev, c_prev, w_x, w_h, b, mask=None):
+def masked_lstm_cell(x, h_prev, c_prev, w_x, w_h, b, mask):
     """One LSTM step as its own tape record (gates in i, f, g, o order).
 
-    `mask` (B, 1), when given, carries the previous state through padded
-    rows: out = mask*new + (1-mask)*prev.
+    `mask` (B, 1) carries the previous state through padded rows:
+    out = mask*new + (1-mask)*prev.
     """
     from docnmt.tensor import _gates, _gates_backward, _make
 
     hidden = h_prev.shape[-1]
     z = x.data @ w_x.data + h_prev.data @ w_h.data + b.data
-    keep = None if mask is None else 1.0 - mask
+    keep = 1.0 - mask
     h_data, c_data, saved = _gates(z, h_prev.data, c_prev.data, mask, keep)
 
     def bw(h_out, c_out):
         zero = np.zeros_like(h_data)
         gh = zero if h_out.grad is None else h_out.grad
         gc = zero if c_out.grad is None else c_out.grad
-        if mask is not None:
-            if h_prev.requires_grad:
-                h_prev.accumulate_grad(gh * keep, owned=True)
-            if c_prev.requires_grad:
-                c_prev.accumulate_grad(gc * keep, owned=True)
+        if h_prev.requires_grad:
+            h_prev.accumulate_grad(gh * keep, owned=True)
+        if c_prev.requires_grad:
+            c_prev.accumulate_grad(gc * keep, owned=True)
         gz, gc_total = _gates_backward(gh, gc, c_prev.data, mask, saved)
         f = saved[0][:, hidden:2 * hidden]
         if x.requires_grad:
@@ -197,13 +196,14 @@ def decoder_loss_reference(model, pos, context, rng=None):
     if rng is not None:
         emb = T.dropout(emb, model.cfg.dropout, rng)
     (h1, c1), (h2, c2) = model.init_carry(enc)
+    ones = np.ones((pos.trg_in.shape[0], 1), dtype=emb.dtype)
     h_tildes, h_tops = [], []
     for t in range(pos.trg_in.shape[1]):
-        h1, c1 = T.lstm_cell(select(emb, 1, t), h1, c1, p["dec_l1_wx"],
-                             p["dec_l1_wh"], p["dec_l1_b"])
+        h1, c1 = masked_lstm_cell(select(emb, 1, t), h1, c1, p["dec_l1_wx"],
+                                  p["dec_l1_wh"], p["dec_l1_b"], ones)
         mid = h1 if rng is None else T.dropout(h1, model.cfg.dropout, rng)
-        h2, c2 = T.lstm_cell(mid, h2, c2, p["dec_l2_wx"], p["dec_l2_wh"],
-                             p["dec_l2_b"])
+        h2, c2 = masked_lstm_cell(mid, h2, c2, p["dec_l2_wx"],
+                                  p["dec_l2_wh"], p["dec_l2_b"], ones)
         attn, _ = T.dot_attention(enc.states, enc.mask, h2)
         pieces = [h2, attn]
         if model.cfg.uses_context:

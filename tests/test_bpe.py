@@ -128,6 +128,17 @@ class TestVocabulary:
             for sent in corpus:
                 assert vocab.decode(vocab.encode(sent)) == sent
 
+    @pytest.mark.parametrize("text,message", [
+        ("a\nb\n\nc\nb\n", r"dup\.vocab, line 5: token 'b' repeats line 2"),
+        ("a\n<unk>\n", r"dup\.vocab, line 2: token '<unk>' repeats a "
+                        r"reserved token")])
+    def test_repeated_token_names_file_and_line(self, tmp_path, text,
+                                                message):
+        path = tmp_path / "dup.vocab"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            B.Vocabulary.load(path)
+
     def test_ids_stable_across_save_load(self, tmp_path):
         vocab = B.build_vocab([["b", "a", "b"], ["c"]])
         path = tmp_path / "vocab"

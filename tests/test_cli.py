@@ -258,6 +258,20 @@ class TestTranslateEvaluateCompare:
             cli.run(["compare", str(hyp), str(hyp), str(data / "test.trg"),
                      "--n", "0"])
 
+    def test_meta_count_mismatch_fails_before_bleu(self, pipeline, tmp_path,
+                                                   capsys):
+        _, data, _, _, _ = pipeline
+        meta = tmp_path / "short.meta"
+        meta.write_text("".join((data / "test.meta").read_text()
+                                .splitlines(keepends=True)[:-1]))
+        ref = data / "test.trg"
+        with pytest.raises(ValueError, match=rf"short\.meta has 7 records, "
+                                             rf"{re.escape(str(ref))} has 8 "
+                                             rf"documents"):
+            cli.run(["evaluate", "--hyp", str(ref), "--ref", str(ref),
+                     "--meta", str(meta)])
+        assert capsys.readouterr().out == ""
+
     def test_empty_source_names_file(self, pipeline, tmp_path):
         _, _, prep, models, _ = pipeline
         src = tmp_path / "empty.src"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,15 @@ class TestSynthetic:
         _, metas = C.generate_synthetic(C.SynthConfig(num_documents=6, seed=7))
         C.save_meta(metas, tmp_path / "m.meta")
         assert C.load_meta(tmp_path / "m.meta") == metas
+
+    @pytest.mark.parametrize("bad", ["d1\tsyna", "d1\tsyna\t1,two",
+                                     "d1\tsyna\t1\t2"])
+    def test_bad_meta_line_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "m.meta"
+        path.write_text(f"d0\tsynb\t1,2\n\n{bad}\n")
+        with pytest.raises(ValueError, match=rf"m\.meta, line 3: cannot read "
+                                             rf"{re.escape(repr(bad))}"):
+            C.load_meta(path)
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):

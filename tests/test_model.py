@@ -591,3 +591,42 @@ class TestCheckpoint:
         manifest.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=message):
             load_checkpoint(prefix)
+
+    @pytest.mark.parametrize("start,new,message", [
+        ("variant=", None, r"ckpt\.manifest: needs variant= as str, got None"),
+        ("emb_dim=", "emb_dim=four",
+         r"ckpt\.manifest: needs emb_dim= as int, got 'four'"),
+        ("dropout=", "dropout=high",
+         r"ckpt\.manifest: needs dropout= as float, got 'high'"),
+        ("variant=", "variant=sideways",
+         r"ckpt\.manifest: unknown variant: sideways"),
+        ("hidden_dim=", "hidden_dim",
+         r"ckpt\.manifest, line 3: cannot read 'hidden_dim'"),
+        ("param\tout_proj\t", "param\tout_proj",
+         r"ckpt\.manifest, line \d+: cannot read 'param\\tout_proj'"),
+        ("param\tattn_out\t", "param\tattn_out\t16,x",
+         r"ckpt\.manifest, line \d+: cannot read "
+         r"'param\\tattn_out\\t16,x'"),
+    ])
+    def test_manifest_errors_name_file_and_line_or_key(self, task, tmp_path,
+                                                       start, new, message):
+        # the line starting with `start` is replaced by `new`, or dropped
+        _, _, src_v, trg_v = task
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(make_model("baseline", src_v, trg_v), prefix)
+        manifest = tmp_path / "ckpt.manifest"
+        lines = [new if ln.startswith(start) else ln
+                 for ln in manifest.read_text().splitlines()]
+        manifest.write_text("".join(f"{ln}\n" for ln in lines if ln))
+        with pytest.raises(ValueError, match=message):
+            load_checkpoint(prefix)
+
+    def test_unknown_manifest_keys_accepted(self, task, tmp_path):
+        # manifests written before the seed setting was dropped carry seed=
+        _, _, src_v, trg_v = task
+        model = make_model("baseline", src_v, trg_v)
+        prefix = str(tmp_path / "ckpt")
+        save_checkpoint(model, prefix)
+        manifest = tmp_path / "ckpt.manifest"
+        manifest.write_text("seed=3\n" + manifest.read_text())
+        assert load_checkpoint(prefix).cfg == model.cfg

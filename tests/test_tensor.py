@@ -104,18 +104,29 @@ class TestLstmCell:
             T.lstm_cell(bad_x, h0, h0, w_x, w_h, b)
 
 
+def one_step(x, mask, cells, initial):
+    """`lstm_cell` as a layer over x (B, 1, In): states, final h, final c."""
+    batch, _, width = x.shape
+    h, c = T.lstm_cell(T.reshape(x, (batch, width)), *initial, *cells[0])
+    return T.reshape(h, (batch, 1, h.shape[-1])), h, c
+
+
 class TestLstmScan:
-    @settings(max_examples=40, deadline=None)
-    @given(batch=st.sampled_from([1, 2, 5, 16]),
+    @settings(max_examples=60, deadline=None)
+    @given(layer=st.sampled_from([T.lstm_scan, one_step]),
+           batch=st.sampled_from([1, 2, 5, 16]),
            steps=st.integers(1, 7),
            width=st.integers(1, 64),
            hidden=st.integers(1, 64),
            directions=st.sampled_from([1, 2]),
            start=st.booleans(),
            seed=st.integers(0, 2**32 - 1))
-    def test_equals_cell_chain_bit_for_bit(self, batch, steps, width, hidden,
-                                           directions, start, seed):
-        # a one-direction layer may start from tracked random (h, c)
+    def test_equals_cell_chain_bit_for_bit(self, layer, batch, steps, width,
+                                           hidden, directions, start, seed):
+        # a one-direction layer may start from tracked random (h, c);
+        # lstm_cell is one such layer over one unmasked position
+        if layer is one_step:
+            steps, directions, start = 1, 1, True
         start = start and directions == 1
         rng = np.random.default_rng(seed)
         lengths = rng.integers(1, steps + 1, size=batch)
@@ -150,7 +161,7 @@ class TestLstmScan:
                 p.grad for cell in cells for p in cell] + [
                 s.grad for s in initial or ()]
 
-        got, want = run(T.lstm_scan), run(cell_chain)
+        got, want = run(layer), run(cell_chain)
         assert len(got) == len(want) == 4 + 3 * directions + 2 * start
         for g, w in zip(got, want):
             assert g.dtype == w.dtype
