@@ -163,9 +163,11 @@ def remove_bpe(tokens: Sequence[str]) -> list[str]:
 
 
 class Vocabulary:
-    """Token-to-id map with pad/bos/eos/unk reserved at ids 0-3."""
+    """Token-to-id map with pad/bos/eos/unk reserved at ids 0-3; `path`
+    is the file it was loaded from, if any."""
 
-    def __init__(self, tokens: Sequence[str]):
+    def __init__(self, tokens: Sequence[str], path=None):
+        self.path = path
         self.tokens = list(RESERVED) + list(tokens)
         self.token_to_id = {t: i for i, t in enumerate(self.tokens)}
         if len(self.token_to_id) != len(self.tokens):
@@ -197,7 +199,7 @@ class Vocabulary:
                                      f"{token!r} repeats {seen[token]}")
                 if token:
                     seen[token] = f"line {number}"
-        return cls(list(seen)[len(RESERVED):])
+        return cls(list(seen)[len(RESERVED):], path)
 
 
 def build_vocab(segmented_sentences: Iterable[Sequence[str]]) -> Vocabulary:

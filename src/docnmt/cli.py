@@ -41,7 +41,8 @@ DESK_PROFILE = {
 }
 
 
-def read_config(path) -> dict[str, str]:
+def read_config(path) -> dict:
+    """A config file's settings, typed as their `DESK_PROFILE` defaults."""
     values = {}
     with open(path, encoding="utf-8") as f:
         for number, line in enumerate(f, 1):
@@ -53,8 +54,18 @@ def read_config(path) -> dict[str, str]:
                 raise ValueError(f"{path}, line {number}: no '=' in {line!r}")
             if key not in DESK_PROFILE:
                 raise ValueError(f"{path}, line {number}: unknown key {key!r}")
-            values[key] = value
+            kind = type(DESK_PROFILE[key])
+            try:
+                values[key] = kind(value)
+            except ValueError:
+                raise ValueError(f"{path}, line {number}: {key} needs "
+                                 f"{kind.__name__}, got {value!r}") from None
     return values
+
+
+def resolve_profile(config_path=None) -> dict:
+    """`DESK_PROFILE` with a config file's settings over it."""
+    return {**DESK_PROFILE, **(read_config(config_path) if config_path else {})}
 
 
 def _sha256(path) -> str:
@@ -275,11 +286,14 @@ def cmd_evaluate(args) -> int:
     if args.meta and len(metas) != len(ref_docs):
         raise ValueError(f"{args.meta} has {len(metas)} records, {args.ref} "
                          f"has {len(ref_docs)} documents")
+    try:
+        slots = E.score_slots(hyp_docs, metas) if args.meta else None
+    except ValueError as exc:
+        raise ValueError(f"{args.meta}: {exc}") from None
     report = E.bleu(_flatten(hyp_docs), _flatten(ref_docs))
     print(report.pretty())
     records = report.records()
-    if args.meta:
-        slots = E.score_slots(hyp_docs, metas)
+    if slots is not None:
         print(f"slot accuracy {slots.slot_accuracy:.4f} over {slots.n_slots} "
               f"slots; self-consistency {slots.self_consistency:.4f}")
         records += slots.records()
@@ -464,10 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # flag > config file > desk default, for each setting this subcommand has
-    config = read_config(args.config) if getattr(args, "config", None) else {}
-    for name, default in DESK_PROFILE.items():
+    for name, value in resolve_profile(getattr(args, "config", None)).items():
         if hasattr(args, name) and getattr(args, name) is None:
-            setattr(args, name, type(default)(config.get(name, default)))
+            setattr(args, name, value)
     return args.fn(args)
 
 

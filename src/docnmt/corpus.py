@@ -348,5 +348,8 @@ def load_meta(path) -> list[SlotMeta]:
             except ValueError:
                 raise ValueError(f"{path}, line {number}: cannot read "
                                  f"{line!r}") from None
+            if any(i < 0 for i in indices):
+                raise ValueError(f"{path}, line {number}: negative slot "
+                                 f"index in {slots!r}")
             metas.append(SlotMeta(doc_id, choice, indices))
     return metas

@@ -171,6 +171,21 @@ def _translate_group(model, docs: Sequence[C.Document], src_vocab, trg_vocab,
     return hyps
 
 
+def check_vocabularies(model: TranslationModel, src_vocab: Vocabulary,
+                       trg_vocab: Vocabulary) -> None:
+    """Raise unless the vocabularies have the sizes the model was built
+    with, naming their files."""
+    sizes = (len(src_vocab), len(trg_vocab))
+    if sizes != (model.cfg.src_vocab_size, model.cfg.trg_vocab_size):
+        files = " / ".join(str(v.path) for v in (src_vocab, trg_vocab)
+                           if v.path is not None)
+        raise ValueError(
+            f"{files + ': ' if files else ''}vocabulary sizes (source "
+            f"{sizes[0]}, target {sizes[1]}) do not match the model's "
+            f"(source {model.cfg.src_vocab_size}, target "
+            f"{model.cfg.trg_vocab_size})")
+
+
 def translate_corpus(model: TranslationModel, docs: Sequence[C.Document],
                      src_vocab: Vocabulary, trg_vocab: Vocabulary,
                      beam_size: int = 1, gold_context: bool = False,
@@ -181,6 +196,7 @@ def translate_corpus(model: TranslationModel, docs: Sequence[C.Document],
         raise ValueError("beam_size must be >= 1")
     if batch_docs < 1:
         raise ValueError(f"batch_docs must be >= 1, got {batch_docs}")
+    check_vocabularies(model, src_vocab, trg_vocab)
     stats = TranslationStats()
     hyps: list[list[list[str]]] = []
     for start in range(0, len(docs), batch_docs):
@@ -397,7 +413,8 @@ def score_slots(hyp_docs: Sequence[Sequence[Sequence[str]]],
     A slot is correct when the first synonym token emitted in that
     sentence equals the document's hidden choice.  Self-consistency
     instead compares each slot with the synonym the model emitted in the
-    document's first sentence, when it emitted one there.
+    document's first sentence, when it emitted one there.  A slot past
+    its document's last sentence is an error.
     """
     if len(hyp_docs) != len(metas):
         raise ValueError("hypothesis documents and metadata must align")
@@ -407,8 +424,9 @@ def score_slots(hyp_docs: Sequence[Sequence[Sequence[str]]],
         anchor = _first_synonym(hyp_doc[0]) if hyp_doc else None
         for slot in meta.slot_indices:
             if slot >= len(hyp_doc):
-                total += 1
-                continue
+                raise ValueError(f"document {meta.doc_id}: slot index "
+                                 f"{slot} is past its {len(hyp_doc)} "
+                                 "sentences")
             got = _first_synonym(hyp_doc[slot])
             total += 1
             if got == meta.choice:

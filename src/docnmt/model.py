@@ -51,6 +51,12 @@ CONTEXTS: dict[str, tuple[str, ...]] = {
 }
 VARIANTS = tuple(CONTEXTS)
 
+# The two-layer LSTM stacks: encoder, decoder and the separated variants'
+# context LSTM.  Each lists the cells of one layer by parameter-name suffix
+# (`<stack>_l<layer><suffix>_{wx,wh,b}`); a cell is `hidden_dim` divided by
+# the cell count wide.  The encoder's second cell reads right to left.
+STACKS = {"enc": ("_fwd", "_bwd"), "dec": ("",), "ctx": ("",)}
+
 INIT_RANGE = 0.08
 
 
@@ -79,32 +85,29 @@ class ModelConfig:
         return bool(CONTEXTS[self.variant])
 
 
+def _stack_shapes(stack: str, e: int, h: int) -> dict[str, tuple[int, ...]]:
+    """One two-layer stack's (w_x, w_h, b) per cell, layer by layer."""
+    width = h // len(STACKS[stack])
+    shapes = {}
+    for layer, in_dim in ((1, e), (2, h)):
+        for cell in STACKS[stack]:
+            stem = f"{stack}_l{layer}{cell}"
+            shapes[f"{stem}_wx"] = (in_dim, 4 * width)
+            shapes[f"{stem}_wh"] = (width, 4 * width)
+            shapes[f"{stem}_b"] = (4 * width,)
+    return shapes
+
+
 def parameter_shapes(cfg: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Canonical parameter order; checkpoints serialize in this order."""
     e, h = cfg.emb_dim, cfg.hidden_dim
-    half = h // 2
-    shapes: dict[str, tuple[int, ...]] = {
-        "src_emb": (cfg.src_vocab_size, e),
-        "trg_emb": (cfg.trg_vocab_size, e),
-    }
-    for layer, in_dim in ((1, e), (2, h)):
-        for direction in ("fwd", "bwd"):
-            stem = f"enc_l{layer}_{direction}"
-            shapes[f"{stem}_wx"] = (in_dim, 4 * half)
-            shapes[f"{stem}_wh"] = (half, 4 * half)
-            shapes[f"{stem}_b"] = (4 * half,)
-    for layer, in_dim in ((1, e), (2, h)):
-        shapes[f"dec_l{layer}_wx"] = (in_dim, 4 * h)
-        shapes[f"dec_l{layer}_wh"] = (h, 4 * h)
-        shapes[f"dec_l{layer}_b"] = (4 * h,)
-    blocks = 3 if cfg.uses_context else 2
-    shapes["attn_out"] = (blocks * h, h)
-    shapes["out_proj"] = (h, cfg.trg_vocab_size)
+    shapes = {"src_emb": (cfg.src_vocab_size, e),
+              "trg_emb": (cfg.trg_vocab_size, e),
+              **_stack_shapes("enc", e, h), **_stack_shapes("dec", e, h),
+              "attn_out": ((3 if cfg.uses_context else 2) * h, h),
+              "out_proj": (h, cfg.trg_vocab_size)}
     if {"src", "trg"} & set(CONTEXTS[cfg.variant]):
-        for layer, in_dim in ((1, e), (2, h)):
-            shapes[f"ctx_l{layer}_wx"] = (in_dim, 4 * h)
-            shapes[f"ctx_l{layer}_wh"] = (h, 4 * h)
-            shapes[f"ctx_l{layer}_b"] = (4 * h,)
+        shapes.update(_stack_shapes("ctx", e, h))
     return shapes
 
 
@@ -186,24 +189,14 @@ class TranslationModel:
         for p in self.params.values():
             p.grad = None
 
-    # -- encoder ----------------------------------------------------------
+    # -- stacks: encoder, context -----------------------------------------
 
-    def _cell(self, stem: str) -> tuple[T.Tensor, T.Tensor, T.Tensor]:
-        """One LSTM's (w_x, w_h, b)."""
-        return tuple(self.params[f"{stem}_{part}"] for part in ("wx", "wh", "b"))
-
-    def encode(self, src_ids: np.ndarray, src_mask: np.ndarray,
-               rng: Optional[np.random.Generator] = None) -> EncoderStates:
-        emb = T.embedding(self.params["src_emb"], src_ids)
-        layer_in = self._dropout(emb, rng)
-        finals = []
-        for layer in (1, 2):
-            cells = [self._cell(f"enc_l{layer}_{d}") for d in ("fwd", "bwd")]
-            layer_out, h, c = T.lstm_scan(layer_in, src_mask, cells)
-            finals.append((h, c))
-            layer_in = self._dropout(layer_out, rng) if layer == 1 \
-                else layer_out
-        return EncoderStates(states=layer_in, mask=src_mask, finals=finals)
+    def _cells(self, stack: str, layer: int
+               ) -> list[tuple[T.Tensor, T.Tensor, T.Tensor]]:
+        """The (w_x, w_h, b) of each cell of one layer of a stack."""
+        return [tuple(self.params[f"{stack}_l{layer}{cell}_{part}"]
+                      for part in ("wx", "wh", "b"))
+                for cell in STACKS[stack]]
 
     def _dropout(self, x: T.Tensor, rng: Optional[np.random.Generator],
                  step_major: bool = False) -> T.Tensor:
@@ -211,18 +204,26 @@ class TranslationModel:
         return x if rng is None \
             else T.dropout(x, self.cfg.dropout, rng, step_major)
 
-    # -- context ----------------------------------------------------------
+    def _stack(self, stack: str, emb_table: str, ids: np.ndarray, mask,
+               rng, carry=(None, None), step_major: bool = False):
+        """Run a two-layer stack over ids (B, N): embedding, dropout, one
+        scan per layer from its (h, c) in `carry` (None: zeros), dropout
+        between the layers (`step_major` as `T.dropout`).  Returns the top
+        layer's states (B, N, H) and each layer's final (h, c)."""
+        layer_in = self._dropout(T.embedding(self.params[emb_table], ids), rng)
+        finals = []
+        for layer, initial in zip((1, 2), carry):
+            layer_out, h, c = T.lstm_scan(layer_in, mask,
+                                          self._cells(stack, layer), initial)
+            finals.append((h, c))
+            layer_in = self._dropout(layer_out, rng, step_major) \
+                if layer == 1 else layer_out
+        return layer_in, finals
 
-    def _context_scan(self, ids: np.ndarray, mask: np.ndarray, emb_table: str,
-                      rng) -> T.Tensor:
-        emb = T.embedding(self.params[emb_table], ids)
-        layer_in = self._dropout(emb, rng)
-        for layer in (1, 2):
-            layer_out, _, _ = T.lstm_scan(layer_in, mask,
-                                          [self._cell(f"ctx_l{layer}")])
-            layer_in = self._dropout(layer_out, rng) if layer == 1 \
-                else layer_out
-        return layer_in
+    def encode(self, src_ids: np.ndarray, src_mask: np.ndarray,
+               rng: Optional[np.random.Generator] = None) -> EncoderStates:
+        states, finals = self._stack("enc", "src_emb", src_ids, src_mask, rng)
+        return EncoderStates(states=states, mask=src_mask, finals=finals)
 
     def context_states(self, prev: Optional[Previous] = None,
                        rng: Optional[np.random.Generator] = None
@@ -243,8 +244,8 @@ class TranslationModel:
                                  f"sentence's {name}, which was not given")
             values, mask = getattr(prev, name)
             if name in ("src", "trg"):
-                context.append((self._context_scan(values, mask,
-                                                   f"{name}_emb", rng), mask))
+                states, _ = self._stack("ctx", f"{name}_emb", values, mask, rng)
+                context.append((states, mask))
             else:
                 context.append((values.detach(), mask))
         return context
@@ -256,19 +257,12 @@ class TranslationModel:
         return [(h, c) for h, c in enc.finals]
 
     def _decoder(self, y_in: np.ndarray, carry, rng) -> T.Tensor:
-        """Top-layer states (B, N, H) after each token of y_in (B, N), one
-        scan per layer from `carry`.  No input feeding: the states never
-        read attention.  As in decoding, padding is run through, and the
-        dropout between the layers is drawn step by step."""
-        layer_in = self._dropout(T.embedding(self.params["trg_emb"], y_in),
-                                 rng)
-        for layer, initial in zip((1, 2), carry):
-            layer_out, _, _ = T.lstm_scan(layer_in, np.ones(y_in.shape),
-                                          [self._cell(f"dec_l{layer}")],
-                                          initial)
-            layer_in = self._dropout(layer_out, rng, step_major=True) \
-                if layer == 1 else layer_out
-        return layer_in
+        """Top-layer states (B, N, H) after each token of y_in (B, N), from
+        `carry`.  No input feeding: the states never read attention.  As
+        in decoding, padding is run through, and the dropout between the
+        layers is drawn step by step."""
+        return self._stack("dec", "trg_emb", y_in, np.ones(y_in.shape), rng,
+                           carry, step_major=True)[0]
 
     def _readout(self, h: T.Tensor, enc: EncoderStates, context
                  ) -> tuple[T.Tensor, T.Tensor, list[T.Tensor]]:
@@ -293,7 +287,8 @@ class TranslationModel:
         layer_in = T.embedding(self.params["trg_emb"], np.asarray(y_prev))
         new_carry = []
         for layer, (h, c) in zip((1, 2), carry):
-            h, c = T.lstm_cell(layer_in, h, c, *self._cell(f"dec_l{layer}"))
+            [cell] = self._cells("dec", layer)
+            h, c = T.lstm_cell(layer_in, h, c, *cell)
             new_carry.append((h, c))
             layer_in = h
         logits, alpha, betas = self._readout(layer_in, enc, context)

@@ -105,12 +105,7 @@ def train_model(model: TranslationModel, train_docs: Sequence[C.Document],
                 trg_vocab: Vocabulary, cfg: TrainConfig,
                 ) -> tuple[TranslationModel, TrainLog]:
     """Train in place; returns (best-dev model, per-epoch log)."""
-    sizes = (len(src_vocab), len(trg_vocab))
-    if sizes != (model.cfg.src_vocab_size, model.cfg.trg_vocab_size):
-        raise ValueError(
-            f"vocabulary sizes (source {sizes[0]}, target {sizes[1]}) do not "
-            f"match the model's (source {model.cfg.src_vocab_size}, "
-            f"target {model.cfg.trg_vocab_size})")
+    E.check_vocabularies(model, src_vocab, trg_vocab)
     params = model.param_list()
     opt = T.AdaGrad(params, lr=cfg.lr)
     shuffle_rng = T.make_rng(cfg.seed, 1)

@@ -240,7 +240,6 @@ def greedy_reference(model, doc, src_vocab, trg_vocab, gold_context=False):
     from docnmt import bpe as B
     from docnmt import tensor as T
     from docnmt.evaluation import MAX_RATIO
-    from docnmt.model import Previous
 
     hyps, prev = [], None
     for src, trg in doc.pairs:
@@ -273,32 +272,42 @@ def greedy_reference(model, doc, src_vocab, trg_vocab, gold_context=False):
                     states.append(res.h_top.data[0])
                 states = states[1:]
         hyps.append(trg_vocab.decode(out))
-        dec = np.zeros((1, max(1, len(states)), model.cfg.hidden_dim),
-                       dtype=model.dtype)
-        dec[0, :len(states)] = np.reshape(states, (-1, model.cfg.hidden_dim))
-        _, dec_mask = _one_row([0] * len(states))
-        prev = Previous(src=(src_ids, src_mask), enc=(enc.states, enc.mask),
-                        trg=_one_row(context_ids),
-                        dec=(T.Tensor(dec), dec_mask))
+        prev = _previous(model, src_ids, src_mask, enc, context_ids, states)
     return hyps
+
+
+def _previous(model, src_ids, src_mask, enc, ids, states):
+    """What one sentence leaves for the next, as a public `Previous`: the
+    target ids and the top-layer decoder state after each was fed back
+    (a length-capped last token has none)."""
+    from docnmt import tensor as T
+    from docnmt.model import Previous
+
+    dec = np.zeros((1, max(1, len(states)), model.cfg.hidden_dim),
+                   dtype=model.dtype)
+    dec[0, :len(states)] = np.reshape(states, (-1, model.cfg.hidden_dim))
+    _, dec_mask = _one_row([0] * len(states))
+    return Previous(src=(src_ids, src_mask), enc=(enc.states, enc.mask),
+                    trg=_one_row(ids), dec=(T.Tensor(dec), dec_mask))
 
 
 def beam_reference(model, doc, src_vocab, trg_vocab, beam_size):
     """Beam search over one document, one sentence and one beam at a time.
 
-    Context comes only from the previous sentence's encoder states, so it
-    serves the baseline and shared-source variants.  Each step ranks every
-    (beam, token) extension by (score desc, beam index, token id), scores
-    being summed float64 log-probabilities, and takes extensions in that
-    order among the best 2k until k beams continue; an extension ending at
-    EOS or at the length limit joins the finished list, and a sentence
-    stops once k hypotheses finished.  The best finished hypothesis wins,
-    the earliest on ties.
+    Each beam keeps its hypothesis ids and the top-layer decoder state
+    after each of them was fed back; sentence i's context is sentence
+    i-1's winner as in `greedy_reference`.  Each step ranks every (beam,
+    token) extension by (score desc, beam index, token id), scores being
+    summed float64 log-probabilities, and takes extensions in that order
+    among the best 2k until k beams continue; an extension ending at EOS
+    or at the length limit joins the finished list (a length-capped last
+    token is never fed back, so it has no state), and a sentence stops
+    once k hypotheses finished.  The best finished hypothesis wins, the
+    earliest on ties.
     """
     from docnmt import bpe as B
     from docnmt import tensor as T
     from docnmt.evaluation import MAX_RATIO
-    from docnmt.model import Previous
 
     hyps, prev = [], None
     for src, _ in doc.pairs:
@@ -307,30 +316,33 @@ def beam_reference(model, doc, src_vocab, trg_vocab, beam_size):
         with T.no_grad():
             enc = model.encode(src_ids, src_mask)
             context = model.context_states(prev)
-            beams, done = [([], 0.0, model.init_carry(enc))], []
+            beams, done = [([], 0.0, model.init_carry(enc), [])], []
             while beams and len(done) < beam_size:
                 ranked = []
-                for b, (toks, score, carry) in enumerate(beams):
+                for b, (toks, score, carry, states) in enumerate(beams):
                     y = toks[-1] if toks else B.BOS
                     res = model.decode_step(np.array([y]), carry, enc,
                                             context)
+                    if toks:
+                        states = states + [res.h_top.data[0]]
                     logp = np.log(np.maximum(
                         res.probs.data[0].astype(np.float64), 1e-300))
-                    ranked += [(-(score + lp), b, t, toks, res.carry)
+                    ranked += [(-(score + lp), b, t, toks, res.carry, states)
                                for t, lp in enumerate(logp.tolist())]
                 ranked.sort(key=lambda c: c[:3])
                 beams = []
-                for neg, _, t, toks, carry in ranked[:2 * beam_size]:
+                for neg, _, t, toks, carry, states in ranked[:2 * beam_size]:
                     if t == B.EOS:
-                        done.append((-neg, toks))
+                        done.append((-neg, toks, states))
                     elif len(toks) + 1 >= limit:
-                        done.append((-neg, toks + [t]))
+                        done.append((-neg, toks + [t], states))
                     else:
-                        beams.append((toks + [t], -neg, carry))
+                        beams.append((toks + [t], -neg, carry, states))
                     if len(beams) == beam_size:
                         break
-        hyps.append(trg_vocab.decode(max(done, key=lambda d: d[0])[1]))
-        prev = Previous(enc=(enc.states, enc.mask))
+        _, out, states = max(done, key=lambda d: d[0])
+        hyps.append(trg_vocab.decode(out))
+        prev = _previous(model, src_ids, src_mask, enc, out, states)
     return hyps
 
 

@@ -1,6 +1,7 @@
 import json
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,6 +273,50 @@ class TestTranslateEvaluateCompare:
                      "--meta", str(meta)])
         assert capsys.readouterr().out == ""
 
+    def test_slot_past_document_end_fails_before_bleu(self, pipeline,
+                                                      tmp_path, capsys):
+        _, data, _, _, _ = pipeline
+        ref = data / "test.trg"
+        lines = (data / "test.meta").read_text().splitlines(keepends=True)
+        doc_id, choice, _ = lines[2].rstrip("\n").split("\t")
+        length = len(C.load_blocks(ref)[2])
+        lines[2] = f"{doc_id}\t{choice}\t1,{length}\n"
+        meta = tmp_path / "long.meta"
+        meta.write_text("".join(lines))
+        with pytest.raises(ValueError, match=(
+                rf"long\.meta: document {doc_id}: slot index {length} is "
+                rf"past its {length} sentences")):
+            cli.run(["evaluate", "--hyp", str(ref), "--ref", str(ref),
+                     "--meta", str(meta)])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("vocabs", ["short", "swapped"])
+    def test_vocabulary_mismatch_fails_before_decoding(self, pipeline,
+                                                       tmp_path, vocabs):
+        _, _, prep, models, _ = pipeline
+        src_vocab, trg_vocab = prep / "syn.vocab.src", prep / "syn.vocab.trg"
+        if vocabs == "short":
+            trg_vocab = tmp_path / "short.vocab"
+            trg_vocab.write_text("".join(
+                (prep / "syn.vocab.trg").read_text()
+                .splitlines(keepends=True)[:10]))
+        else:
+            src_vocab = prep / "syn.vocab.trg"
+        sizes = [len(B.Vocabulary.load(v)) for v in (src_vocab, trg_vocab)]
+        model = [len(B.Vocabulary.load(prep / f"syn.vocab.{side}"))
+                 for side in ("src", "trg")]
+        assert sizes != model
+        with pytest.raises(ValueError, match=re.escape(
+                f"{src_vocab} / {trg_vocab}: vocabulary sizes (source "
+                f"{sizes[0]}, target {sizes[1]}) do not match the model's "
+                f"(source {model[0]}, target {model[1]})")):
+            cli.run(["translate", "--ckpt", str(models / "base"),
+                     "--src", str(prep / "syn.test.src"),
+                     "--src-vocab", str(src_vocab),
+                     "--trg-vocab", str(trg_vocab),
+                     "--out", str(tmp_path / "base.hyp")])
+        assert not (tmp_path / "base.hyp").exists()
+
     def test_empty_source_names_file(self, pipeline, tmp_path):
         _, _, prep, models, _ = pipeline
         src = tmp_path / "empty.src"
@@ -464,6 +509,24 @@ class TestParams:
         with pytest.raises(ValueError, match=re.escape(
                 f"{cfg}, line 2: no '=' in 'hidden_dim 8'")):
             cli.run(["params", "--config", str(cfg)])
+        cfg.write_text("emb_dim = 8\n\nepochs = 1.5\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{cfg}, line 3: epochs needs int, got '1.5'")):
+            cli.run(["params", "--config", str(cfg)])
+
+    def test_shipped_configs_resolve(self):
+        configs = Path(__file__).resolve().parents[1] / "configs"
+        # desk.cfg's header says it matches the built-in defaults
+        desk = cli.resolve_profile(configs / "desk.cfg")
+        assert desk == cli.DESK_PROFILE
+        assert all(type(desk[k]) is type(v)
+                   for k, v in cli.DESK_PROFILE.items())
+        full = cli.resolve_profile(configs / "full-scale.cfg")
+        assert full.keys() == cli.DESK_PROFILE.keys()
+        assert all(type(full[k]) is type(v)
+                   for k, v in cli.DESK_PROFILE.items())
+        assert (full["emb_dim"], full["hidden_dim"], full["merges"]) == \
+            (512, 512, 32000)
 
     def test_negative_sizes_rejected(self):
         with pytest.raises(ValueError, match=r"emb_dim must be >= 1, got -4"):

@@ -171,6 +171,14 @@ class TestSynthetic:
                                              rf"{re.escape(repr(bad))}"):
             C.load_meta(path)
 
+    def test_negative_slot_index_names_file_and_line(self, tmp_path):
+        # -1 would score the document's last sentence
+        path = tmp_path / "m.meta"
+        path.write_text("d0\tsynb\t1,2\nd1\tsyna\t1,-1\n")
+        with pytest.raises(ValueError, match=r"m\.meta, line 2: negative "
+                                             r"slot index in '1,-1'"):
+            C.load_meta(path)
+
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
             C.SynthConfig(mode="sideways")

@@ -215,7 +215,7 @@ class TestTranslate:
                                             gold_context=gold)
                            for doc in seg]
 
-    @pytest.mark.parametrize("variant", ["baseline", "shared-source"])
+    @pytest.mark.parametrize("variant", VARIANTS)
     def test_beam_matches_reference(self, task, variant):
         _, seg, _, src_v, trg_v = task
         model = eos_prone_model(variant, src_v, trg_v, seed=19)
@@ -382,6 +382,12 @@ class TestSlotScoring:
         metas = [C.SlotMeta("d0", "syna", [1])]
         report = E.score_slots([[["syna", "w1"], ["w2", "w3"]]], metas)
         assert report.slot_accuracy == 0.0
+
+    def test_slot_past_document_end_rejected(self):
+        metas = [C.SlotMeta("d0", "syna", [1, 2])]
+        with pytest.raises(ValueError, match=r"document d0: slot index 2 "
+                                             r"is past its 2 sentences"):
+            E.score_slots([[["syna", "w1"], ["syna", "w3"]]], metas)
 
     def test_alignment_required(self):
         with pytest.raises(ValueError):

@@ -51,6 +51,46 @@ class TestConfig:
             ModelConfig("baseline", **sizes)
 
 
+# The checkpoint layout at E=3, H=4, V_src=5, V_trg=7: every name, shape
+# and position.  Existing checkpoints only load while this holds.
+LAYOUT_HEAD = [
+    ("src_emb", (5, 3)), ("trg_emb", (7, 3)),
+    ("enc_l1_fwd_wx", (3, 8)), ("enc_l1_fwd_wh", (2, 8)),
+    ("enc_l1_fwd_b", (8,)),
+    ("enc_l1_bwd_wx", (3, 8)), ("enc_l1_bwd_wh", (2, 8)),
+    ("enc_l1_bwd_b", (8,)),
+    ("enc_l2_fwd_wx", (4, 8)), ("enc_l2_fwd_wh", (2, 8)),
+    ("enc_l2_fwd_b", (8,)),
+    ("enc_l2_bwd_wx", (4, 8)), ("enc_l2_bwd_wh", (2, 8)),
+    ("enc_l2_bwd_b", (8,)),
+    ("dec_l1_wx", (3, 16)), ("dec_l1_wh", (4, 16)), ("dec_l1_b", (16,)),
+    ("dec_l2_wx", (4, 16)), ("dec_l2_wh", (4, 16)), ("dec_l2_b", (16,)),
+]
+LAYOUT_CTX = [
+    ("ctx_l1_wx", (3, 16)), ("ctx_l1_wh", (4, 16)), ("ctx_l1_b", (16,)),
+    ("ctx_l2_wx", (4, 16)), ("ctx_l2_wh", (4, 16)), ("ctx_l2_b", (16,)),
+]
+LAYOUT = {
+    "baseline": LAYOUT_HEAD + [("attn_out", (8, 4)), ("out_proj", (4, 7))],
+    "separated-source": LAYOUT_HEAD + [("attn_out", (12, 4)),
+                                       ("out_proj", (4, 7))] + LAYOUT_CTX,
+    "separated-target": LAYOUT_HEAD + [("attn_out", (12, 4)),
+                                       ("out_proj", (4, 7))] + LAYOUT_CTX,
+    "shared-source": LAYOUT_HEAD + [("attn_out", (12, 4)),
+                                    ("out_proj", (4, 7))],
+    "shared-target": LAYOUT_HEAD + [("attn_out", (12, 4)),
+                                    ("out_proj", (4, 7))],
+    "shared-mix": LAYOUT_HEAD + [("attn_out", (12, 4)), ("out_proj", (4, 7))],
+}
+
+
+class TestParameterLayout:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_golden_layout(self, variant):
+        cfg = ModelConfig(variant, 3, 4, 5, 7)
+        assert list(parameter_shapes(cfg).items()) == LAYOUT[variant]
+
+
 class TestParamCount:
     @pytest.mark.parametrize("emb,hidden,vs,vt", [(8, 8, 12, 12),
                                                   (6, 10, 17, 23),
