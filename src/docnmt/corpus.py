@@ -158,8 +158,10 @@ def segment_documents(docs: Sequence[Document], src_model: B.BpeModel,
 
 
 @dataclass
-class BatchPosition:
-    """Padded matrices for sentence index i across the batch's documents."""
+class SentenceRows:
+    """Padded matrices with one sentence per row: sentence index i across
+    a batch's documents (`build_batch`), or every sentence of a batch
+    (`flat_batch`)."""
 
     src: np.ndarray        # (B, M) int ids, PAD on unused slots
     src_mask: np.ndarray   # (B, M) 1.0 on real tokens
@@ -168,19 +170,22 @@ class BatchPosition:
     trg_in: np.ndarray     # (B, N+1) BOS + gold
     trg_out: np.ndarray    # (B, N+1) gold + EOS
     out_mask: np.ndarray   # (B, N+1) counts gold tokens plus the EOS step
-    active: np.ndarray     # (B,) 1.0 while the document still has sentences
+    active: np.ndarray     # (B,) 1.0 on rows that hold a sentence
+    # (B,) the row of the same document's previous sentence, -1 for a
+    # first sentence; only `flat_batch` rows name it
+    prev: Optional[np.ndarray] = None
 
 
 @dataclass
 class DocumentBatch:
-    positions: list[BatchPosition]
+    positions: list[SentenceRows]
 
 
 def pad_rows(rows: Sequence, width: Optional[int] = None
              ) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of token ids, or arrays of per-token vectors, zero-padded (PAD
-    is 0) to `width` columns, by default the longest row and at least one;
-    also returns the float32 mask of real entries."""
+    """Rows of token ids (as int32), or arrays of per-token vectors,
+    zero-padded (PAD is 0) to `width` columns, by default the longest row
+    and at least one; also returns the float32 mask of real entries."""
     lengths = np.array([len(r) for r in rows])
     if width is None:
         width = max(1, lengths.max())
@@ -188,14 +193,33 @@ def pad_rows(rows: Sequence, width: Optional[int] = None
     if isinstance(rows[0], np.ndarray):
         values = np.concatenate(rows)
     else:
-        values = np.fromiter(chain.from_iterable(rows), dtype=np.int64)
+        values = np.fromiter(chain.from_iterable(rows), dtype=np.int32)
     out = np.zeros(mask.shape + values.shape[1:], dtype=values.dtype)
     out[mask] = values
     return out, mask.astype(np.float32)
 
 
+def _sentence_rows(src_rows: Sequence[list[int]],
+                   trg_rows: Sequence[list[int]], active: Sequence[float],
+                   prev: Optional[Sequence[int]] = None) -> SentenceRows:
+    """Pad one set of sentence rows, given as source and target ids."""
+    src, src_mask = pad_rows(src_rows)
+    trg, trg_mask = pad_rows(trg_rows)
+    n = trg.shape[1]
+    trg_in, _ = pad_rows([[B.BOS] + r for r in trg_rows], n + 1)
+    trg_out, out_mask = pad_rows([r + [B.EOS] if r else [] for r in trg_rows],
+                                 n + 1)
+    return SentenceRows(
+        src=src, src_mask=src_mask, trg=trg, trg_mask=trg_mask,
+        trg_in=trg_in, trg_out=trg_out, out_mask=out_mask,
+        active=np.asarray(active, dtype=np.float32),
+        prev=None if prev is None else np.asarray(prev, dtype=np.int64))
+
+
 def build_batch(docs: Sequence[Document], src_vocab: B.Vocabulary,
                 trg_vocab: B.Vocabulary) -> DocumentBatch:
+    """One `SentenceRows` per sentence index, a row per document; a
+    document out of sentences is an inactive, empty row."""
     max_len = max(len(d) for d in docs)
     positions = []
     for i in range(max_len):
@@ -210,25 +234,29 @@ def build_batch(docs: Sequence[Document], src_vocab: B.Vocabulary,
                 src_rows.append([])
                 trg_rows.append([])
                 active.append(0.0)
-        src, src_mask = pad_rows(src_rows)
-        trg, trg_mask = pad_rows(trg_rows)
-        n = trg.shape[1]
-        trg_in, _ = pad_rows([[B.BOS] + r for r in trg_rows], n + 1)
-        trg_out, out_mask = pad_rows([r + [B.EOS] if r else []
-                                      for r in trg_rows], n + 1)
-        positions.append(BatchPosition(
-            src=src, src_mask=src_mask, trg=trg, trg_mask=trg_mask,
-            trg_in=trg_in, trg_out=trg_out, out_mask=out_mask,
-            active=np.asarray(active, dtype=np.float32),
-        ))
+        positions.append(_sentence_rows(src_rows, trg_rows, active))
     return DocumentBatch(positions=positions)
+
+
+def flat_batch(docs: Sequence[Document], src_vocab: B.Vocabulary,
+               trg_vocab: B.Vocabulary) -> SentenceRows:
+    """Every sentence of the documents as one row, document by document,
+    each row naming its document's previous sentence in `prev`."""
+    src_rows, trg_rows, prev = [], [], []
+    for doc in docs:
+        for i, (s, t) in enumerate(doc.pairs):
+            prev.append(len(src_rows) - 1 if i else -1)
+            src_rows.append(src_vocab.encode(s))
+            trg_rows.append(trg_vocab.encode(t))
+    return _sentence_rows(src_rows, trg_rows, [1.0] * len(src_rows), prev)
 
 
 def make_batches(docs: Sequence[Document], src_vocab: B.Vocabulary,
                  trg_vocab: B.Vocabulary, max_docs: int = 128,
                  rng: Optional[np.random.Generator] = None
-                 ) -> list[DocumentBatch]:
-    """Shuffle documents, then group them into batches of at most max_docs."""
+                 ) -> list[SentenceRows]:
+    """Shuffle documents, then group them into training batches of at most
+    max_docs, each a `flat_batch`."""
     if not docs:
         raise ValueError("make_batches requires a non-empty document list")
     if rng is None:
@@ -237,7 +265,7 @@ def make_batches(docs: Sequence[Document], src_vocab: B.Vocabulary,
     batches = []
     for start in range(0, len(order), max_docs):
         group = [docs[j] for j in order[start:start + max_docs]]
-        batches.append(build_batch(group, src_vocab, trg_vocab))
+        batches.append(flat_batch(group, src_vocab, trg_vocab))
     return batches
 
 

@@ -264,11 +264,13 @@ class TranslationModel:
         return self._stack("dec", "trg_emb", y_in, np.ones(y_in.shape), rng,
                            carry, step_major=True)[0]
 
-    def _readout(self, h: T.Tensor, enc: EncoderStates, context
+    def _readout(self, h: T.Tensor, enc: EncoderStates, context,
+                 rows: Optional[np.ndarray] = None
                  ) -> tuple[T.Tensor, T.Tensor, list[T.Tensor]]:
-        """Logits from decoder states h (B, N, H), one row per state in
-        (B*N, V), or (B, V) from one state (B, H); plus the current and
-        context attention weights."""
+        """Attentional states from decoder states h (B, N, H), one row per
+        state in (B*N, H), or (B, H) from one state (B, H); `rows` keeps
+        only the rows it names, before `attn_out`.  Also returns the
+        current and context attention weights."""
         attn, alpha = T.dot_attention(enc.states, enc.mask, h)
         pieces = [h, attn]
         betas: list[T.Tensor] = []
@@ -276,10 +278,11 @@ class TranslationModel:
             ctx, betas = context_attention(h, context)
             pieces.append(ctx)
         # 2-D rows, so attn_out is one GEMM rather than a gemv per row
-        rows = T.concat(pieces, axis=-1)
-        rows = T.reshape(rows, (-1, rows.shape[-1]))
-        h_tilde = T.tanh(T.matmul(rows, self.params["attn_out"]))
-        return T.matmul(h_tilde, self.params["out_proj"]), alpha, betas
+        features = T.concat(pieces, axis=-1)
+        features = T.reshape(features, (-1, features.shape[-1]))
+        if rows is not None:
+            features = T.embedding(features, rows)
+        return T.tanh(T.matmul(features, self.params["attn_out"])), alpha, betas
 
     def decode_step(self, y_prev: np.ndarray, carry, enc: EncoderStates,
                     context) -> StepResult:
@@ -291,7 +294,8 @@ class TranslationModel:
             h, c = T.lstm_cell(layer_in, h, c, *cell)
             new_carry.append((h, c))
             layer_in = h
-        logits, alpha, betas = self._readout(layer_in, enc, context)
+        h_tilde, alpha, betas = self._readout(layer_in, enc, context)
+        logits = T.matmul(h_tilde, self.params["out_proj"])
         return StepResult(probs=T.softmax(logits), carry=new_carry,
                           h_top=layer_in, alpha=alpha, betas=betas)
 
@@ -303,27 +307,56 @@ class TranslationModel:
         states = self._decoder(trg_in, self.init_carry(enc), None)
         return T.Tensor(states.data[:, 1:])
 
-    def forward_loss(self, pos, context,
+    def _predecessors(self, left: Previous, prev: np.ndarray) -> Previous:
+        """What each row's previous sentence left: row `prev[r]` of `left`,
+        fully masked where `prev[r]` is -1; only the fields this variant
+        reads."""
+        reads = CONTEXTS[self.cfg.variant]
+        if reads and prev is None:
+            raise ValueError(f"{self.cfg.variant} needs a context, or rows "
+                             "that name their previous sentences")
+        fields = {}
+        for name in reads:
+            values, mask = getattr(left, name)
+            values = T.Tensor(values.data[prev]) \
+                if isinstance(values, T.Tensor) else values[prev]
+            mask = mask[prev]
+            mask[prev < 0] = 0.0
+            fields[name] = (values, mask)
+        return Previous(**fields)
+
+    def forward_loss(self, rows, context=None,
                      rng: Optional[np.random.Generator] = None
                      ) -> tuple[T.Tensor, EncoderStates, Previous, float]:
-        """Teacher-forced mean NLL for one batch position.
+        """Teacher-forced mean NLL over the target tokens of `rows` (a
+        `corpus.SentenceRows`): one batch position, or every sentence of a
+        batch as one pass.
 
-        Returns (loss, encoder states, what this sentence leaves for the
-        next, the number of target tokens counted); its `dec` states are
-        those of `decoder_states`.
+        `context` is what the rows' context attention reads, as
+        `context_states` gives it.  When it is None, row r reads what row
+        `rows.prev[r]` of this same pass, its document's previous
+        sentence, leaves; a document's first sentence reads no context.
+
+        Returns (loss, encoder states, what each row leaves for the next,
+        the number of target tokens counted); its `dec` states are those
+        of `decoder_states`.
         """
-        full_mask = pos.out_mask * pos.active[:, None]
-        if full_mask.sum() == 0:
-            raise ValueError("forward_loss on a batch position with no active rows")
-        enc = self.encode(pos.src, pos.src_mask * pos.active[:, None], rng)
-        states = self._decoder(pos.trg_in, self.init_carry(enc), rng)
-        logits, _, _ = self._readout(states, enc, context)
-        loss = T.cross_entropy(logits, pos.trg_out.reshape(-1),
-                               full_mask.reshape(-1))
-        prev = Previous(src=(pos.src, pos.src_mask), enc=(enc.states, enc.mask),
-                        trg=(pos.trg, pos.trg_mask),
-                        dec=(T.Tensor(states.data[:, 1:]), pos.trg_mask))
-        return loss, enc, prev, float(full_mask.sum())
+        counted = np.flatnonzero(rows.out_mask * rows.active[:, None])
+        if counted.size == 0:
+            raise ValueError("forward_loss on rows with no target tokens")
+        enc = self.encode(rows.src, rows.src_mask * rows.active[:, None], rng)
+        states = self._decoder(rows.trg_in, self.init_carry(enc), rng)
+        left = Previous(src=(rows.src, rows.src_mask),
+                        enc=(enc.states, enc.mask),
+                        trg=(rows.trg, rows.trg_mask),
+                        dec=(T.Tensor(states.data[:, 1:]), rows.trg_mask))
+        if context is None:
+            context = self.context_states(
+                self._predecessors(left, rows.prev), rng)
+        h_tilde, _, _ = self._readout(states, enc, context, counted)
+        loss = T.cross_entropy(h_tilde, self.params["out_proj"],
+                               rows.trg_out.reshape(-1)[counted])
+        return loss, enc, left, float(counted.size)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ one record to the tape, a module-level list: the op's output tensors plus
 a backward function that takes those outputs and pushes their gradients
 back to the inputs.  Records accumulate in execution order, so reverse
 iteration is a valid backward schedule and `backward` needs no graph
-search; it consumes the tape and clears it.
+search; it pops each record as it runs it, so what the record kept alive
+is freed before the records before it run.
 
-The recurrent hot spots (LSTM layer, masked dot attention, cross-entropy)
-are single fused records with hand-written backward passes; everything
-else is composed from small elementwise and linear-algebra ops.
+The recurrent hot spots (LSTM layer, masked dot attention, the output
+layer with its cross-entropy) are single fused records with hand-written
+backward passes; everything else is composed from small elementwise and
+linear-algebra ops.
 
 Training runs in float32 by default; gradient checks construct their
 tensors as float64 and everything downstream inherits the dtype.
@@ -43,7 +45,7 @@ def no_grad():
 class Tensor:
     """A dense n-dimensional float array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, np.ndarray) and dtype is None \
@@ -105,18 +107,21 @@ def active_graph() -> list:
 def backward(loss: Tensor, params: Optional[Iterable[Tensor]] = None) -> None:
     """Backpropagate from a scalar loss through the tape.
 
-    Consumes and clears the tape.  When `params` is given, any listed
-    tensor the loss never touched gets an explicit zero gradient.
+    Pops each record before running it, so a record's outputs and what
+    its backward function holds are freed as soon as it has run, and
+    leaves the tape empty however it exits.  When `params` is given, any
+    listed tensor the loss never touched gets an explicit zero gradient.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     loss.grad = np.ones_like(loss.data)
-    for outputs, fn in reversed(_tape):
-        for out in outputs:
-            if out.grad is not None:
+    try:
+        while _tape:
+            outputs, fn = _tape.pop()
+            if any(out.grad is not None for out in outputs):
                 fn(*outputs)
-                break
-    _tape.clear()
+    finally:
+        _tape.clear()
     if params is not None:
         for p in params:
             if p.requires_grad and p.grad is None:
@@ -227,22 +232,6 @@ def softmax(x: Tensor) -> Tensor:
     return _make((x,), bw, s)
 
 
-def reduce_sum(x: Tensor) -> Tensor:
-    def bw(out):
-        x.accumulate_grad(np.broadcast_to(out.grad, x.shape).copy(),
-                          owned=True)
-
-    return _make((x,), bw, x.data.sum())
-
-
-def mean(x: Tensor) -> Tensor:
-    def bw(out):
-        x.accumulate_grad(np.full(x.shape, out.grad / x.size, dtype=x.dtype),
-                          owned=True)
-
-    return _make((x,), bw, np.asarray(x.data.mean(), dtype=x.dtype))
-
-
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     tensors = list(tensors)
 
@@ -283,50 +272,61 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 def dropout(x: Tensor, p: float, rng: np.random.Generator,
             step_major: bool = False) -> Tensor:
     """Inverted dropout: survivors scaled by 1/(1-p); draws nothing at p=0.
-    `step_major` draws x (B, T, ...)'s mask as T draws of (B, ...) would."""
+    `step_major` draws x (B, T, ...)'s mask as T draws of (B, ...) would.
+    Only the boolean mask is kept for the backward pass."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if p == 0.0:
         return x
     draw = rng.random(x.shape[1::-1] + x.shape[2:]).swapaxes(0, 1) \
         if step_major else rng.random(x.shape)
-    mask = (draw >= p).astype(x.dtype) / (1.0 - p)
+    kept = draw >= p
+    scale = x.dtype.type(1.0) / x.dtype.type(1.0 - p)
 
     def bw(out):
-        x.accumulate_grad(mask * out.grad, owned=True)
+        g = out.grad * scale
+        g *= kept
+        x.accumulate_grad(g, owned=True)
 
-    return _make((x,), bw, x.data * mask)
+    out = x.data * scale
+    out *= kept
+    return _make((x,), bw, out)
 
 
-def cross_entropy(logits: Tensor, targets: np.ndarray,
-                  mask: np.ndarray) -> Tensor:
-    """Mean negative log-likelihood over unmasked rows.
+def cross_entropy(x: Tensor, w: Tensor, targets: np.ndarray) -> Tensor:
+    """The output layer and its loss as one record: the mean negative
+    log-likelihood of `targets` (N,) under the softmax of x @ w, for x
+    (N, H) and w (H, V).
 
-    logits: (N, V); targets: (N,) int ids; mask: (N,) with 1 for rows that
-    count.  Masked rows contribute exactly zero to the value and to the
-    gradient.
+    Callers pass only the rows that count.  The record keeps the (N, V)
+    probabilities alone and turns them into the logits' gradient in place.
     """
-    if logits.ndim != 2:
-        raise ValueError("cross_entropy expects 2-d logits")
+    if x.ndim != 2 or w.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise ValueError(f"cross_entropy needs x (N, H) and w (H, V), got "
+                         f"{x.shape} and {w.shape}")
     targets = np.asarray(targets)
-    n = logits.shape[0]
-    mask = np.asarray(mask, dtype=logits.dtype)
-    denom = float(mask.sum())
-    if denom <= 0.0:
-        raise ValueError("cross_entropy: no unmasked positions")
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    logp = shifted - lse
-    nll = -logp[np.arange(n), targets] * mask
-    value = np.asarray(nll.sum() / denom, dtype=logits.dtype)
+    n = x.shape[0]
+    if n == 0:
+        raise ValueError("cross_entropy: no target rows")
+    rows = np.arange(n)
+    probs = np.matmul(x.data, w.data)
+    probs -= probs.max(axis=1, keepdims=True)
+    picked = probs[rows, targets]
+    np.exp(probs, out=probs)
+    total = probs.sum(axis=1, keepdims=True)
+    nll = np.log(total[:, 0]) - picked
+    probs /= total
+    value = np.asarray(nll.sum() / n, dtype=x.dtype)
 
     def bw(out):
-        probs = np.exp(logp)
-        probs[np.arange(n), targets] -= 1.0
-        probs *= (mask / denom)[:, None]
-        logits.accumulate_grad(probs * out.grad, owned=True)
+        probs[rows, targets] -= 1.0
+        np.multiply(probs, out.grad / n, out=probs)
+        if x.requires_grad:
+            x.accumulate_grad(np.matmul(probs, w.data.T), owned=True)
+        if w.requires_grad:
+            w.accumulate_grad(np.matmul(x.data.T, probs), owned=True)
 
-    return _make((logits,), bw, value)
+    return _make((x, w), bw, value)
 
 
 # ---------------------------------------------------------------------------
@@ -339,47 +339,51 @@ def _gates(z: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
     i, f, g, o order; the i, f and o sigmoids run in one pass over z.
 
     `mask` (..., 1) carries the previous state through padded rows, and
-    `keep` is 1 - mask.  Returns the new h and c and what `_gates_backward`
-    needs.
+    `keep` is 1 - mask.  Returns the new h and c and the activated gates
+    (..., 4H), tanh(g) in the g block: with the cell states, all that
+    `_gates_backward` needs.
     """
     hidden = z.shape[-1] // 4
-    sig = 0.5 * z
-    np.tanh(sig, out=sig)
-    sig += 1.0
-    sig *= 0.5
-    g = np.tanh(z[..., 2 * hidden:3 * hidden])
-    c_new = sig[..., hidden:2 * hidden] * c_prev
-    c_new += sig[..., :hidden] * g
-    tc = np.tanh(c_new)
-    h_new = sig[..., 3 * hidden:] * tc
+    gates = 0.5 * z
+    np.tanh(gates, out=gates)
+    gates += 1.0
+    gates *= 0.5
+    g = gates[..., 2 * hidden:3 * hidden]
+    np.tanh(z[..., 2 * hidden:3 * hidden], out=g)
+    c_new = gates[..., hidden:2 * hidden] * c_prev
+    c_new += gates[..., :hidden] * g
+    h_new = gates[..., 3 * hidden:] * np.tanh(c_new)
     h_new *= mask
     h_new += keep * h_prev
     c_new = mask * c_new + keep * c_prev
-    return h_new, c_new, (sig, g, tc)
+    return h_new, c_new, gates
 
 
 def _gates_backward(gh: np.ndarray, gc: np.ndarray, c_prev: np.ndarray,
-                    mask: np.ndarray, saved):
+                    c_new: np.ndarray, mask: np.ndarray, gates: np.ndarray):
     """Gradients of the pre-activations z and of the unmasked new cell,
-    from the gradients of a step's outputs h and c.  The caller passes
-    the masked carries, `gh * keep` and `gc * keep`, back to the previous
-    state itself."""
-    sig, g, tc = saved
+    from the gradients of a step's outputs h and c.  `c_new` is the step's
+    masked new cell, whose tanh is recomputed: where `mask` is 0 it is not
+    the unmasked cell's, but the masked gradients are zero there.  The
+    caller passes the masked carries, `gh * keep` and `gc * keep`, back
+    to the previous state itself."""
     hidden = gh.shape[-1]
+    g = gates[..., 2 * hidden:3 * hidden]
+    tc = np.tanh(c_new)
     gh, gc = gh * mask, gc * mask
-    gc_total = gh * sig[..., 3 * hidden:]
+    gc_total = gh * gates[..., 3 * hidden:]
     gc_total *= 1.0 - tc * tc
     gc_total += gc
-    # each gate's block of gz is (first factor * s) * (1 - s) for its
-    # sigmoid s; the g block is (gc_total * i) * (1 - g * g)
+    # each sigmoid gate's block of gz is (first factor * s) * (1 - s) for
+    # its sigmoid s; the g block is (gc_total * i) * (1 - g * g)
     gz = np.empty(gh.shape[:-1] + (4 * hidden,), dtype=gh.dtype)
     np.multiply(gc_total, g, out=gz[..., :hidden])
     np.multiply(gc_total, c_prev, out=gz[..., hidden:2 * hidden])
-    g_block = gc_total * sig[..., :hidden]
+    g_block = gc_total * gates[..., :hidden]
     gz[..., 2 * hidden:3 * hidden] = g_block
     np.multiply(gh, tc, out=gz[..., 3 * hidden:])
-    gz *= sig
-    gz *= 1.0 - sig
+    gz *= gates
+    gz *= 1.0 - gates
     np.multiply(g_block, 1.0 - g * g, out=gz[..., 2 * hidden:3 * hidden])
     return gz, gc_total
 
@@ -408,7 +412,10 @@ def lstm_scan(x: Tensor, mask: np.ndarray,
     pair shaped like the finals, and takes one LSTM step per position;
     where `mask` (B, M) is 0 a row carries its state through.
     Returns the states (B, M, D*H) and the final h and c (B, D*H),
-    directions concatenated in `cells` order.
+    directions concatenated in `cells` order.  For the backward pass the
+    record keeps each step's cell and activated gates; it reads each
+    step's hidden state back from the returned states and recomputes the
+    tanh of each cell.
 
     The directions advance together: each step makes one stacked matmul
     for the input projections of all directions and one for the
@@ -454,8 +461,10 @@ def lstm_scan(x: Tensor, mask: np.ndarray,
     # the per-step arrays are (step, direction, B, ...), the weights
     # (direction, ...)
     order = (slice(None), slice(None, None, -1))[:len(cells)]
-    x_steps = np.ascontiguousarray(x.data.transpose(1, 0, 2))
-    xs = np.stack([x_steps[o] for o in order], axis=1)
+    # one direction reads x as a view, two stack their reading orders
+    x_steps = x.data.transpose(1, 0, 2)
+    xs = x_steps[:, None] if len(cells) == 1 \
+        else np.stack([x_steps[o] for o in order], axis=1)
     m_steps = mask.astype(x.dtype).T[:, :, None]
     ms = np.stack([m_steps[o] for o in order], axis=1)
     keeps = 1.0 - ms
@@ -464,25 +473,34 @@ def lstm_scan(x: Tensor, mask: np.ndarray,
                       np.stack([cell[k].data for cell in cells])
                       for k in range(3))
     bias = bias[:, None, :]
-    # hs[s] and cs[s] hold the state before step s
-    hs = np.zeros((steps + 1, len(cells), batch, hidden), dtype=x.dtype)
-    cs = np.zeros_like(hs)
-    for carried, state in zip((hs, cs), initial):
-        carried[0] = per_step(state.data)
-    saved = []
-    for s in range(steps):
-        z = np.matmul(xs[s], w_x) + np.matmul(hs[s], w_h) + bias
-        hs[s + 1], cs[s + 1], kept = _gates(z, hs[s], cs[s], ms[s], keeps[s])
-        saved.append(kept)
+    # cs[s] holds the cell before step s; the hidden state after each
+    # step goes only into `states`, whose slices the backward pass reads
+    cs = np.zeros((steps + 1, len(cells), batch, hidden), dtype=x.dtype)
+    h_first = np.zeros_like(cs[0])
+    for carried, state in zip((h_first, cs[0]), initial):
+        carried[...] = per_step(state.data)
+    # the (position, block) of `states` each direction writes at step s
+    slots = [[(p, slice(d * hidden, (d + 1) * hidden))
+              for d, p in enumerate((s, steps - 1 - s)[:len(cells)])]
+             for s in range(steps)]
     states = np.empty((batch, steps, len(cells) * hidden), dtype=x.dtype)
-    for d, o in enumerate(order):
-        states[:, :, d * hidden:(d + 1) * hidden] = \
-            hs[1:, d][o].transpose(1, 0, 2)
-    h_last = np.concatenate(list(hs[steps]), axis=-1)
+    h, gates = h_first, []
+    for s in range(steps):
+        z = np.matmul(xs[s], w_x) + np.matmul(h, w_h) + bias
+        h, cs[s + 1], gates_s = _gates(z, h, cs[s], ms[s], keeps[s])
+        gates.append(gates_s)
+        for d, (p, block) in enumerate(slots[s]):
+            states[:, p, block] = h[d]
+    h_last = np.concatenate(list(h), axis=-1)
     c_last = np.concatenate(list(cs[steps]), axis=-1)
 
+    def h_before(s):
+        """The hidden state before step s, (direction, B, H)."""
+        return h_first if s == 0 else \
+            np.stack([states[:, p, block] for p, block in slots[s - 1]])
+
     def bw(states_out, h_out, c_out):
-        zero = np.zeros_like(hs[0])
+        zero = np.zeros_like(h_first)
         g_states = None
         if states_out.grad is not None:
             g = states_out.grad.reshape(batch, steps, len(cells), hidden)
@@ -498,13 +516,15 @@ def lstm_scan(x: Tensor, mask: np.ndarray,
         for s in range(steps - 1, -1, -1):
             gh_s = zero if gh is None else gh
             gc_s = zero if gc is None else gc
-            gz, gc_total = _gates_backward(gh_s, gc_s, cs[s], ms[s], saved[s])
+            gz, gc_total = _gates_backward(gh_s, gc_s, cs[s], cs[s + 1],
+                                           ms[s], gates[s])
             if x.requires_grad:
                 gx = np.matmul(gz, w_x_t)
                 for d in range(len(cells)):
                     x.grad[:, (s, steps - 1 - s)[d]] += gx[d]
             grads = (np.matmul(xs[s].swapaxes(-1, -2), gz),
-                     np.matmul(hs[s].swapaxes(-1, -2), gz), gz.sum(axis=1))
+                     np.matmul(h_before(s).swapaxes(-1, -2), gz),
+                     gz.sum(axis=1))
             for d, cell in enumerate(cells):
                 for p, gp in zip(cell, grads):
                     if p.requires_grad:
@@ -517,7 +537,7 @@ def lstm_scan(x: Tensor, mask: np.ndarray,
                     else g_states[s - 1] + carry
                 gh += np.matmul(gz, w_h_t)
                 gc = gc_s * keeps[s]
-                gc += gc_total * saved[s][0][..., hidden:2 * hidden]
+                gc += gc_total * gates[s][..., hidden:2 * hidden]
         for state, g in zip(initial, (gh, gc)):
             if state.requires_grad and g is not None:
                 state.accumulate_grad(np.concatenate(list(g), axis=-1),
@@ -534,7 +554,9 @@ def dot_attention(states: Tensor, mask: np.ndarray, query: Tensor
 
     Returns (mixtures (B, T, H), weights (B, T, M)), or (B, H) and (B, M)
     for one query.  Weights are zero exactly on masked positions and sum
-    to 1 over the unmasked ones.  Each query's scores and mixture are the
+    to 1 over the unmasked ones; a row with no unmasked position gets
+    zero weights, so its mixture is an exact zero vector and no gradient
+    flows through it.  Each query's scores and mixture are the
     matrix-vector products a one-query call makes, so the forward pass
     over T queries is bit for bit T one-query calls; one GEMM over all
     queries would round differently under OpenBLAS.
@@ -547,6 +569,9 @@ def dot_attention(states: Tensor, mask: np.ndarray, query: Tensor
     shifted = shifted - shifted.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     w = e / e.sum(axis=-1, keepdims=True)
+    empty = ~mask.any(axis=-1)
+    if empty.any():
+        w[empty] = 0.0
     mixed = np.matmul(w[:, :, None, :], states.data[:, None])[:, :, 0]
 
     def bw(mix_out, w_out):

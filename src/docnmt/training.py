@@ -6,12 +6,15 @@ fine-tuning.
 starts from a pretrained baseline, its new context weights drawn from
 `T.make_rng(seed, 3)`.  Dropout is a model setting (`ModelConfig.dropout`).
 
-Each batch walks its documents position by position, so sentence i-1's
-states are in hand (as gold, teacher-forced context) before sentence i is
-processed.  Gradients accumulate over all positions of a batch and one
-AdaGrad step is applied per batch, after global-norm clipping.  The best
-epoch is chosen by dev BLEU, decoded greedily with gold target-side
-context for the variants that need one.
+Each batch is one teacher-forced pass over all its sentences, one row
+each (`corpus.flat_batch`): the decoder never reads attention, so a
+sentence depends on the one before it only through values computed from
+gold text, and each row reads its context from the row of its
+document's previous sentence.  The loss is the mean NLL over the batch's
+target tokens; one backward pass and one AdaGrad step, after
+global-norm clipping, follow per batch.  The best epoch is chosen by dev
+BLEU, decoded greedily with gold target-side context for the variants
+that need one.
 """
 
 from __future__ import annotations
@@ -118,24 +121,15 @@ def train_model(model: TranslationModel, train_docs: Sequence[C.Document],
                                  max_docs=cfg.max_docs_per_batch,
                                  rng=shuffle_rng)
         epoch_nll, epoch_tokens = 0.0, 0.0
-        for b_idx, batch in enumerate(batches):
+        for b_idx, rows in enumerate(batches):
             opt.zero_grad()
-            prev, batch_tokens = None, 0.0
-            for p_idx, pos in enumerate(batch.positions):
-                loss, _, prev, ntok = model.forward_loss(
-                    pos, model.context_states(prev, dropout_rng), dropout_rng)
-                if not np.isfinite(loss.data):
-                    raise TrainingDiverged(
-                        f"non-finite loss at epoch {epoch}, batch {b_idx}, "
-                        f"sentence position {p_idx}")
-                T.backward(T.mul(loss, float(ntok)))
-                epoch_nll += float(loss.data) * ntok
-                epoch_tokens += ntok
-                batch_tokens += ntok
-            scale = 1.0 / batch_tokens
-            for p in params:
-                if p.grad is not None:
-                    p.grad *= scale
+            loss, _, _, ntok = model.forward_loss(rows, rng=dropout_rng)
+            if not np.isfinite(loss.data):
+                raise TrainingDiverged(
+                    f"non-finite loss at epoch {epoch}, batch {b_idx}")
+            T.backward(loss)
+            epoch_nll += float(loss.data) * ntok
+            epoch_tokens += ntok
             norm = T.clip_global_norm(params, cfg.grad_clip_norm)
             if not math.isfinite(norm):
                 raise TrainingDiverged(

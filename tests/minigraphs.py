@@ -1,5 +1,8 @@
 """Random op compositions for gradient checking.
 
+`reduce_sum` and `mean` reduce a graph to a scalar loss; the library has
+no use for them, so they live here.
+
 Each family wires several engine ops into a scalar loss.  `build_minigraph`
 returns the parameter tensors plus a forward closure that recomputes the
 loss from the parameters' current contents, which is exactly what the
@@ -9,6 +12,24 @@ finite-difference oracle needs.
 import numpy as np
 
 from docnmt import tensor as T
+
+
+def reduce_sum(x):
+    """The sum of all entries, one tape record."""
+    def bw(out):
+        x.accumulate_grad(np.broadcast_to(out.grad, x.shape).copy(),
+                          owned=True)
+
+    return T._make((x,), bw, x.data.sum())
+
+
+def mean(x):
+    """The mean of all entries, one tape record."""
+    def bw(out):
+        x.accumulate_grad(np.full(x.shape, out.grad / x.size, dtype=x.dtype),
+                          owned=True)
+
+    return T._make((x,), bw, np.asarray(x.data.mean(), dtype=x.dtype))
 
 
 def _param(rng, *shape):
@@ -24,7 +45,7 @@ def _affine_tanh(rng):
 
     def forward():
         y = T.tanh(T.add(T.matmul(x, w), b))
-        return T.mean(T.mul(y, c))
+        return mean(T.mul(y, c))
 
     return [w, b], forward
 
@@ -36,7 +57,7 @@ def _softmax_pipeline(rng):
 
     def forward():
         p = T.softmax(T.matmul(x, w))
-        return T.reduce_sum(T.mul(p, c))
+        return reduce_sum(T.mul(p, c))
 
     return [w], forward
 
@@ -46,14 +67,9 @@ def _embedding_loss(rng):
     proj = _param(rng, 4, 3)
     ids = rng.integers(0, 7, size=5)
     targets = rng.integers(0, 3, size=5)
-    mask = (rng.random(5) > 0.3).astype(np.float64)
-    if mask.sum() == 0:
-        mask[0] = 1.0
 
     def forward():
-        h = T.embedding(table, ids)
-        logits = T.matmul(h, proj)
-        return T.cross_entropy(logits, targets, mask)
+        return T.cross_entropy(T.embedding(table, ids), proj, targets)
 
     return [table, proj], forward
 
@@ -70,7 +86,7 @@ def _lstm_chain(rng):
         c = T.Tensor(np.zeros((2, hidden)), dtype=np.float64)
         for x in xs:
             h, c = T.lstm_cell(x, h, c, w_x, w_h, b)
-        return T.mean(h)
+        return mean(h)
 
     return [w_x, w_h, b], forward
 
@@ -88,8 +104,8 @@ def _attention_readout(rng):
         # mixture, through [query; mixture] rows, and its weights
         mixed, weights = T.dot_attention(states, mask, queries)
         rows = T.reshape(T.concat([queries, mixed], axis=-1), (6, 6))
-        loss = T.mean(T.mul(T.tanh(T.matmul(rows, w)), c))
-        return T.add(loss, T.reduce_sum(T.mul(weights, d)))
+        loss = mean(T.mul(T.tanh(T.matmul(rows, w)), c))
+        return T.add(loss, reduce_sum(T.mul(weights, d)))
 
     return [states, queries, w], forward
 
@@ -105,9 +121,9 @@ def _masked_attention(rng):
         # second's only its weights
         mixed, weights = T.dot_attention(states, mask, query)
         _, weights_only = T.dot_attention(states, mask, T.tanh(query))
-        loss = T.add(T.reduce_sum(T.tanh(mixed)),
-                     T.reduce_sum(T.mul(weights, c)))
-        return T.add(loss, T.reduce_sum(T.mul(weights_only, weights_only)))
+        loss = T.add(reduce_sum(T.tanh(mixed)),
+                     reduce_sum(T.mul(weights, c)))
+        return T.add(loss, reduce_sum(T.mul(weights_only, weights_only)))
 
     return [states, query], forward
 
@@ -129,9 +145,9 @@ def _lstm_scan(rng):
         # the states and both finals reach the loss, and each direction
         # starts from its half of the initial states
         outs = T.lstm_scan(x, mask, cells, initial)
-        loss = T.reduce_sum(T.mul(outs[0], probes[0]))
+        loss = reduce_sum(T.mul(outs[0], probes[0]))
         for out, probe in zip(outs[1:], probes[1:]):
-            loss = T.add(loss, T.reduce_sum(T.mul(T.tanh(out), probe)))
+            loss = T.add(loss, reduce_sum(T.mul(T.tanh(out), probe)))
         return loss
 
     return [x, *initial] + [p for cell in cells for p in cell], forward

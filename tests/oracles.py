@@ -8,7 +8,9 @@ library's incremental ones, and the BLEU statistics are counted with one
 `Counter` per sentence and n-gram order where the library counts integer
 n-gram codes in numpy blocks.  The per-step LSTM chain and decoder are the
 record-per-step versions of the library's scans: each step is its own
-tape record, as the library ran them before `lstm_scan`.
+tape record, as the library ran them before `lstm_scan`.  The position
+walk is training's batch step as it ran before one teacher-forced pass
+covered every sentence of a batch.
 """
 
 from collections import Counter
@@ -91,7 +93,7 @@ def masked_lstm_cell(x, h_prev, c_prev, w_x, w_h, b, mask):
     hidden = h_prev.shape[-1]
     z = x.data @ w_x.data + h_prev.data @ w_h.data + b.data
     keep = 1.0 - mask
-    h_data, c_data, saved = _gates(z, h_prev.data, c_prev.data, mask, keep)
+    h_data, c_data, gates = _gates(z, h_prev.data, c_prev.data, mask, keep)
 
     def bw(h_out, c_out):
         zero = np.zeros_like(h_data)
@@ -101,8 +103,9 @@ def masked_lstm_cell(x, h_prev, c_prev, w_x, w_h, b, mask):
             h_prev.accumulate_grad(gh * keep, owned=True)
         if c_prev.requires_grad:
             c_prev.accumulate_grad(gc * keep, owned=True)
-        gz, gc_total = _gates_backward(gh, gc, c_prev.data, mask, saved)
-        f = saved[0][:, hidden:2 * hidden]
+        gz, gc_total = _gates_backward(gh, gc, c_prev.data, c_data, mask,
+                                       gates)
+        f = gates[:, hidden:2 * hidden]
         if x.requires_grad:
             x.accumulate_grad(gz @ w_x.data.T, owned=True)
         if h_prev.requires_grad:
@@ -212,10 +215,37 @@ def decoder_loss_reference(model, pos, context, rng=None):
                                         p["attn_out"])))
         h_tops.append(h2)
     h_tilde = T.reshape(stack(h_tildes, axis=1), (-1, model.cfg.hidden_dim))
-    logits = T.matmul(h_tilde, p["out_proj"])
-    loss = T.cross_entropy(logits, pos.trg_out.reshape(-1),
-                           full_mask.reshape(-1))
+    counted = np.flatnonzero(full_mask)
+    loss = T.cross_entropy(T.embedding(h_tilde, counted), p["out_proj"],
+                           pos.trg_out.reshape(-1)[counted])
     return loss, stack(h_tops[1:], axis=1)
+
+
+def position_walk(model, docs, src_vocab, trg_vocab):
+    """A training batch walked sentence position by sentence position:
+    one `forward_loss` and one backward per position, each position's
+    context built from the `Previous` the one before it left, its loss
+    weighted by its token count, the gradients divided by the batch's
+    tokens at the end.
+
+    Returns the batch's mean NLL; the parameters' gradients are its
+    gradients, zero where it reads none.
+    """
+    from docnmt import corpus as C
+    from docnmt import tensor as T
+
+    model.zero_grad()
+    prev, total, tokens = None, 0.0, 0.0
+    for pos in C.build_batch(docs, src_vocab, trg_vocab).positions:
+        loss, _, prev, ntok = model.forward_loss(pos,
+                                                 model.context_states(prev))
+        T.backward(T.mul(loss, ntok), params=model.param_list())
+        total += float(loss.data) * ntok
+        tokens += ntok
+    for p in model.param_list():
+        if p.grad is not None:
+            p.grad /= tokens
+    return total / tokens
 
 
 def _one_row(ids):

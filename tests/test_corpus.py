@@ -79,7 +79,9 @@ class TestBatching:
         src_v, trg_v = self._vocab(docs)
         batches = C.make_batches(docs, src_v, trg_v, max_docs=2,
                                  rng=np.random.default_rng(0))
-        assert [len(b.positions[0].active) for b in batches] == [2, 1]
+        # one row per sentence, one first sentence per document
+        assert [int((b.prev == -1).sum()) for b in batches] == [2, 1]
+        assert sum(len(b.prev) for b in batches) == sum(map(len, docs))
 
     def test_shorter_documents_masked_out(self):
         d1 = C.Document("a", [(["x"], ["y"])] * 2)

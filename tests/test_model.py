@@ -1,3 +1,4 @@
+import dataclasses
 import tempfile
 from pathlib import Path
 
@@ -349,17 +350,28 @@ class TestForwardLoss:
             first = first if first is not None else float(loss.data)
         assert float(loss.data) < first * 0.5
 
-    def test_masked_rows_contribute_exactly_zero(self):
-        # the fused loss op zeroes masked rows exactly
-        rng = np.random.default_rng(0)
-        logits = T.Tensor(rng.normal(size=(6, 5)), requires_grad=True,
-                          dtype=np.float64)
-        targets = rng.integers(0, 5, size=6)
-        mask = np.array([1, 0, 1, 0, 0, 1], dtype=np.float64)
-        loss = T.cross_entropy(logits, targets, mask)
-        T.backward(loss)
-        assert (logits.grad[mask == 0] == 0.0).all()
-        assert (logits.grad[mask == 1] != 0.0).any()
+    def test_masked_rows_contribute_exactly_zero(self, task):
+        # the readout keeps only counted rows, so whatever a padded or
+        # inactive row's target is leaves loss and gradients bit for bit
+        _, batch, src_v, trg_v = task
+        model = make_model("shared-target", src_v, trg_v, seed=4)
+        pos = batch.positions[-1]
+        assert (pos.active == 0).any() and (pos.out_mask == 0).any()
+        context = position_cache(model, batch, len(batch.positions) - 1)
+
+        def run(trg_out):
+            model.zero_grad()
+            rows = dataclasses.replace(pos, trg_out=trg_out)
+            loss, _, _, _ = model.forward_loss(rows, context)
+            T.backward(loss, params=model.param_list())
+            return [loss.data] + [p.grad for p in model.param_list()]
+
+        noise = np.random.default_rng(0).integers(0, len(trg_v),
+                                                  pos.trg_out.shape)
+        counted = pos.out_mask * pos.active[:, None] > 0
+        for got, want in zip(run(np.where(counted, pos.trg_out, noise)),
+                             run(pos.trg_out)):
+            assert got.tobytes() == want.tobytes()
 
     def test_masked_rows_do_not_change_loss_or_grads(self, task):
         # an exhausted document in the batch leaves loss and gradients as if

@@ -1,4 +1,5 @@
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from docnmt import tensor as T
 
-from minigraphs import FAMILIES, build_minigraph
+from minigraphs import FAMILIES, build_minigraph, reduce_sum
 from oracles import (cell_chain, finite_difference_grads, max_relative_error,
                      scalar_lstm_step)
 
@@ -153,9 +154,9 @@ class TestLstmScan:
             initial = tuple(T.Tensor(a.copy(), requires_grad=True)
                             for a in initial_data) or None
             outs = layer(x, mask, cells, initial)
-            loss = T.reduce_sum(T.mul(outs[0], probes[0]))
+            loss = reduce_sum(T.mul(outs[0], probes[0]))
             for out, probe in zip(outs[1:], probes[1:]):
-                loss = T.add(loss, T.reduce_sum(T.mul(out, probe)))
+                loss = T.add(loss, reduce_sum(T.mul(out, probe)))
             T.backward(loss)
             return [out.data for out in outs] + [x.grad] + [
                 p.grad for cell in cells for p in cell] + [
@@ -213,16 +214,33 @@ class TestDotAttention:
             np.testing.assert_array_equal(weights.data[:, t], weights_t.data)
 
 
+    def test_fully_masked_row_reads_zero(self):
+        # a document's first sentence has a fully masked context row: it
+        # reads an exact zero vector, and nothing flows back through it
+        rng = np.random.default_rng(4)
+        states = T.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True,
+                          dtype=np.float64)
+        query = T.Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True,
+                         dtype=np.float64)
+        mask = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+        mixed, weights = T.dot_attention(states, mask, query)
+        assert (weights.data[1] == 0.0).all() and (mixed.data[1] == 0.0).all()
+        np.testing.assert_allclose(weights.data[0].sum(axis=-1), 1.0)
+        T.backward(T.add(reduce_sum(T.tanh(mixed)), reduce_sum(weights)))
+        assert (states.grad[1] == 0.0).all() and (query.grad[1] == 0.0).all()
+        assert (query.grad[0] != 0.0).any()
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         w = T.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
-        T.reduce_sum(w).backward()
+        reduce_sum(w).backward()
         np.testing.assert_array_equal(w.grad, np.ones((2, 3), dtype=np.float32))
 
     def test_dot_gradients(self):
         a = T.Tensor([1.0, 2.0, 3.0], requires_grad=True)
         b = T.Tensor([4.0, 5.0, 6.0], requires_grad=True)
-        T.reduce_sum(T.mul(a, b)).backward()
+        reduce_sum(T.mul(a, b)).backward()
         np.testing.assert_allclose(a.grad, b.data)
         np.testing.assert_allclose(b.grad, a.data)
 
@@ -234,7 +252,7 @@ class TestBackward:
     def test_unreached_params_get_zero(self):
         a = T.Tensor([1.0], requires_grad=True)
         unused = T.Tensor([5.0, 6.0], requires_grad=True)
-        loss = T.reduce_sum(T.mul(a, a))
+        loss = reduce_sum(T.mul(a, a))
         T.backward(loss, params=[a, unused])
         np.testing.assert_array_equal(unused.grad, [0.0, 0.0])
 
@@ -254,9 +272,44 @@ class TestBackward:
     def test_grad_accumulates_across_reuse(self):
         a = T.Tensor([2.0], requires_grad=True)
         loss = T.add(T.mul(a, a), T.mul(a, 3.0))  # a^2 + 3a -> 2a + 3 = 7
-        loss = T.reduce_sum(loss)
+        loss = reduce_sum(loss)
         loss.backward()
         np.testing.assert_allclose(a.grad, [7.0])
+
+    def test_raising_backward_leaves_the_tape_empty(self):
+        a = T.Tensor([1.0, 2.0], requires_grad=True)
+
+        def fail(out):
+            raise RuntimeError("backward failed")
+
+        broken = T._make((a,), fail, a.data * 2.0)
+        with pytest.raises(RuntimeError, match="backward failed"):
+            T.backward(reduce_sum(T.tanh(broken)))
+        assert T.active_graph() == []
+        # a fresh graph runs none of the failed graph's records
+        b = T.Tensor([3.0], requires_grad=True)
+        T.backward(reduce_sum(T.mul(b, b)))
+        np.testing.assert_array_equal(b.grad, [6.0])
+
+    def test_consumed_records_are_freed_before_earlier_ones_run(self):
+        # the outputs of records that already ran, and what those records
+        # held, are gone by the time the first record runs
+        x = T.Tensor(np.ones(3), requires_grad=True)
+        seen = []
+
+        def first(out):
+            seen.append([ref() for ref in refs])
+            x.accumulate_grad(out.grad)
+
+        y = T._make((x,), first, x.data.copy())
+        z = T.tanh(y)
+        w = T.tanh(z)
+        refs = [weakref.ref(z), weakref.ref(w)]
+        loss = reduce_sum(w)
+        del z, w
+        T.backward(loss)
+        assert seen == [[None, None]]
+        assert x.grad is not None
 
     def test_no_grad_suppresses_taping(self):
         a = T.Tensor([1.0], requires_grad=True)
@@ -313,6 +366,20 @@ class TestDropout:
         x = T.Tensor([1.0])
         with pytest.raises(ValueError):
             T.dropout(x, 1.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_scaled_mask_bit_for_bit(self, dtype):
+        # kept as a boolean mask, dropout still multiplies by the mask
+        # (draw >= p) / (1 - p) in x's dtype, forward and backward
+        x = T.Tensor(np.random.default_rng(6).normal(size=(5, 7)),
+                     requires_grad=True, dtype=dtype)
+        mask = (np.random.default_rng(8).random(x.shape) >= 0.3).astype(
+            dtype) / (1.0 - 0.3)
+        out = T.dropout(x, 0.3, np.random.default_rng(8))
+        probe = np.random.default_rng(9).normal(size=x.shape).astype(dtype)
+        T.backward(reduce_sum(T.mul(out, probe)))
+        assert out.data.tobytes() == (x.data * mask).tobytes()
+        assert x.grad.tobytes() == (mask * probe).tobytes()
 
     def test_mean_preserved(self):
         x = T.Tensor(np.ones(100_000))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from docnmt import bpe as B
 from docnmt import corpus as C
@@ -9,6 +10,7 @@ from docnmt.model import (ModelConfig, TranslationModel, VARIANTS,
                           load_checkpoint, save_checkpoint)
 
 from model_helpers import tiny_task
+from oracles import position_walk
 
 
 def copy_corpus(n_docs=10, seed=0):
@@ -184,40 +186,72 @@ class TestGradientClipping:
 
 
 class TestContextBuildOrder:
-    def test_cache_uses_states_from_previous_position(self, synth_setup,
-                                                      monkeypatch):
-        seg, src_v, trg_v = synth_setup
-        monkeypatch.setattr(TR, "_dev_bleu", lambda *a, **k: 0.0)
+    @settings(max_examples=50, deadline=None)
+    @given(lengths=st.lists(st.integers(1, 5), min_size=1, max_size=8),
+           max_docs=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_every_row_reads_its_documents_previous_sentence(
+            self, lengths, max_docs, seed):
+        # each sentence's source names its document and index, so a row
+        # can be traced back to the sentence it holds
+        docs = [C.Document(f"d{d}", [([f"d{d}", f"s{i}"], [f"s{i}"])
+                                     for i in range(n)])
+                for d, n in enumerate(lengths)]
+        src_v = B.build_vocab([s for d in docs for s in d.src_sentences])
+        trg_v = B.build_vocab([t for d in docs for t in d.trg_sentences])
+        batches = C.make_batches(docs, src_v, trg_v, max_docs=max_docs,
+                                 rng=np.random.default_rng(seed))
+        held = []
+        for rows in batches:
+            sentences = [src_v.decode(ids[mask > 0].tolist())
+                         for ids, mask in zip(rows.src, rows.src_mask)]
+            assert (rows.active == 1.0).all()
+            for (doc, index), prev in zip(sentences, rows.prev.tolist()):
+                if index == "s0":
+                    assert prev == -1
+                else:
+                    assert sentences[prev] == [doc, f"s{int(index[1:]) - 1}"]
+            held += [tuple(s) for s in sentences]
+        assert sorted(held) == sorted(tuple(s) for d in docs
+                                      for s in d.src_sentences)
+
+
+class TestOnePass:
+    """Training's one teacher-forced pass per batch against the position
+    walk it replaced (`oracles.position_walk`)."""
+
+    @pytest.fixture(scope="class")
+    def pool(self):
+        docs, seg, metas, src_v, trg_v = tiny_task(n_docs=6, seed=8,
+                                                   sentences=(5, 5))
+        return seg, src_v, trg_v
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @settings(max_examples=8, deadline=None)
+    @given(picks=st.lists(st.tuples(st.integers(0, 5), st.integers(1, 5)),
+                          min_size=1, max_size=4),
+           seed=st.integers(0, 2**16))
+    @example(picks=[(0, 3)], seed=0)  # one document
+    def test_matches_position_walk(self, pool, variant, picks, seed):
+        # float64, dropout off: the loss and every gradient agree up to
+        # the order the gradient sums are taken in; documents are cut to
+        # uneven lengths
+        seg, src_v, trg_v = pool
+        docs = [C.Document(seg[i].doc_id, seg[i].pairs[:n]) for i, n in picks]
         model = TranslationModel(
-            ModelConfig("shared-source", 16, 16, len(src_v), len(trg_v)),
-            rng=T.make_rng(3, 0))
-        events = []
-        orig_forward = model.forward_loss
-        orig_cache = model.context_states
-
-        def forward_spy(*args, **kwargs):
-            out = orig_forward(*args, **kwargs)
-            events.append(("forward", id(out[2])))
-            return out
-
-        def cache_spy(prev=None, rng=None):
-            events.append(("cache", None if prev is None else id(prev)))
-            return orig_cache(prev, rng)
-
-        model.forward_loss = forward_spy
-        model.context_states = cache_spy
-        tcfg = TR.TrainConfig(epochs=1, lr=0.1, max_docs_per_batch=3, seed=4)
-        TR.train_model(model, seg, seg, src_v, trg_v, tcfg)
-
-        last_forward = None
-        saw_linked_cache = False
-        for kind, ref in events:
-            if kind == "forward":
-                last_forward = ref
-            elif ref is not None:
-                assert ref == last_forward
-                saw_linked_cache = True
-        assert saw_linked_cache
+            ModelConfig(variant, 4, 6, len(src_v), len(trg_v), dropout=0.0),
+            rng=T.make_rng(seed, 0), dtype=np.float64)
+        want_loss = position_walk(model, docs, src_v, trg_v)
+        want = [p.grad.copy() for p in model.param_list()]
+        model.zero_grad()
+        loss, _, _, ntok = model.forward_loss(
+            C.flat_batch(docs, src_v, trg_v))
+        T.backward(loss, params=model.param_list())
+        assert ntok == sum(len(t) + 1 for d in docs for t in d.trg_sentences)
+        np.testing.assert_allclose(float(loss.data), want_loss, rtol=1e-12)
+        for (name, p), w in zip(model.params.items(), want):
+            np.testing.assert_allclose(p.grad, w, rtol=1e-12,
+                                       atol=1e-12 * np.abs(w).max(),
+                                       err_msg=name)
 
 
 @pytest.fixture(scope="module")
