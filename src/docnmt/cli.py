@@ -244,8 +244,12 @@ def cmd_train_baseline(args) -> int:
 
 def cmd_finetune(args) -> int:
     def start(seed, src_vocab, trg_vocab):
-        model = init_from_baseline(load_checkpoint(args.baseline),
-                                   args.variant, T.make_rng(seed, 3))
+        baseline = load_checkpoint(args.baseline)
+        try:
+            model = init_from_baseline(baseline, args.variant,
+                                       T.make_rng(seed, 3))
+        except ValueError as exc:
+            raise ValueError(f"--baseline {args.baseline}: {exc}") from None
         model.cfg.dropout = args.dropout   # overrides the checkpoint's
         return model
     return _train_seeds(args, "finetune", start,

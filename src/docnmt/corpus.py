@@ -159,9 +159,9 @@ def segment_documents(docs: Sequence[Document], src_model: B.BpeModel,
 
 @dataclass
 class SentenceRows:
-    """Padded matrices with one sentence per row: sentence index i across
-    a batch's documents (`build_batch`), or every sentence of a batch
-    (`flat_batch`)."""
+    """Padded matrices with one sentence per row: every sentence of a
+    batch (`flat_batch`, which training and decoding read), or sentence
+    index i across a batch's documents.  An empty row's masks are 0."""
 
     src: np.ndarray        # (B, M) int ids, PAD on unused slots
     src_mask: np.ndarray   # (B, M) 1.0 on real tokens
@@ -170,7 +170,6 @@ class SentenceRows:
     trg_in: np.ndarray     # (B, N+1) BOS + gold
     trg_out: np.ndarray    # (B, N+1) gold + EOS
     out_mask: np.ndarray   # (B, N+1) counts gold tokens plus the EOS step
-    active: np.ndarray     # (B,) 1.0 on rows that hold a sentence
     # (B,) the row of the same document's previous sentence, -1 for a
     # first sentence; only `flat_batch` rows name it
     prev: Optional[np.ndarray] = None
@@ -200,7 +199,7 @@ def pad_rows(rows: Sequence, width: Optional[int] = None
 
 
 def _sentence_rows(src_rows: Sequence[list[int]],
-                   trg_rows: Sequence[list[int]], active: Sequence[float],
+                   trg_rows: Sequence[list[int]],
                    prev: Optional[Sequence[int]] = None) -> SentenceRows:
     """Pad one set of sentence rows, given as source and target ids."""
     src, src_mask = pad_rows(src_rows)
@@ -212,29 +211,22 @@ def _sentence_rows(src_rows: Sequence[list[int]],
     return SentenceRows(
         src=src, src_mask=src_mask, trg=trg, trg_mask=trg_mask,
         trg_in=trg_in, trg_out=trg_out, out_mask=out_mask,
-        active=np.asarray(active, dtype=np.float32),
         prev=None if prev is None else np.asarray(prev, dtype=np.int64))
 
 
 def build_batch(docs: Sequence[Document], src_vocab: B.Vocabulary,
                 trg_vocab: B.Vocabulary) -> DocumentBatch:
     """One `SentenceRows` per sentence index, a row per document; a
-    document out of sentences is an inactive, empty row."""
+    document out of sentences is an empty row, all of its masks 0."""
     max_len = max(len(d) for d in docs)
     positions = []
     for i in range(max_len):
-        src_rows, trg_rows, active = [], [], []
+        src_rows, trg_rows = [], []
         for doc in docs:
-            if i < len(doc):
-                s, t = doc.pairs[i]
-                src_rows.append(src_vocab.encode(s))
-                trg_rows.append(trg_vocab.encode(t))
-                active.append(1.0)
-            else:
-                src_rows.append([])
-                trg_rows.append([])
-                active.append(0.0)
-        positions.append(_sentence_rows(src_rows, trg_rows, active))
+            s, t = doc.pairs[i] if i < len(doc) else ([], [])
+            src_rows.append(src_vocab.encode(s))
+            trg_rows.append(trg_vocab.encode(t))
+        positions.append(_sentence_rows(src_rows, trg_rows))
     return DocumentBatch(positions=positions)
 
 
@@ -248,7 +240,7 @@ def flat_batch(docs: Sequence[Document], src_vocab: B.Vocabulary,
             prev.append(len(src_rows) - 1 if i else -1)
             src_rows.append(src_vocab.encode(s))
             trg_rows.append(trg_vocab.encode(t))
-    return _sentence_rows(src_rows, trg_rows, [1.0] * len(src_rows), prev)
+    return _sentence_rows(src_rows, trg_rows, prev)
 
 
 def make_batches(docs: Sequence[Document], src_vocab: B.Vocabulary,

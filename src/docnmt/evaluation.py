@@ -1,13 +1,13 @@
 """Document-aware decoding, corpus BLEU, and bootstrap significance.
 
-Decoding walks documents in order with one beam search batched over them
-(greedy is beam 1): source-side caches come from the sentences just
-encoded, target-side caches from the decoder states recorded while
-generating the previous hypothesis.  With `gold_context=True` the
-target-side caches are teacher-forced over the gold previous sentence
-instead, which is how the context mechanisms are probed on the synthetic
-tasks (the reference choice is unrecoverable from the model's own
-first-sentence output).
+Decoding reads the rows training reads: a group of documents is one
+`corpus.flat_batch`, encoded once; sentence index i is decoded after
+index i - 1 by one beam search over its rows (greedy is beam 1), each row
+reading what its previous sentence `leaves`, as in `forward_loss`.  The
+target side holds what index i - 1 emitted; with `gold_context=True` it
+holds the gold text and one teacher-forced decoder pass over it instead,
+which is how the context mechanisms are probed on the synthetic tasks
+(the reference choice is unrecoverable from the model's own output).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from . import bpe as B
 from . import corpus as C
 from . import tensor as T
 from .bpe import Vocabulary
-from .model import CONTEXTS, EncoderStates, Previous, TranslationModel
+from .model import CONTEXTS, EncoderStates, TranslationModel
 
 MAX_RATIO = 2.0  # a hypothesis ends by this many times its source length
 # sentence pairs whose n-grams are counted together; bounds the transient
@@ -50,27 +50,25 @@ class TranslationStats:
             self.cache_reuses += n
 
 
-def _beam_search(model, enc: EncoderStates, context,
-                 beam_size: int, limits: np.ndarray,
+def _beam_search(model, enc: EncoderStates, context, beam_size: int,
                  keep_states: bool):
     """Beam search over every row of `enc` at once; beam size 1 is greedy.
 
     Scores are summed log-probabilities.  A hypothesis ends at EOS or at
-    its row's length limit (-1: no sentence); a row stops with `beam_size`
+    `MAX_RATIO` times its row's source length; a row stops with `beam_size`
     ended ones or no live beam and keeps its best (earliest on ties).
     Candidates rank by (score desc, parent slot, token), like argmax.  Also
     returns the top-layer states after each kept token was fed back (a
     length-capped last token never was), collected if `keep_states`.
     """
+    limits = np.ceil(MAX_RATIO * enc.mask.sum(axis=1)).astype(np.int64)
     k, n = beam_size, len(limits)
     if k > 1:  # one row per beam slot
-        def widen(x):
-            return T.Tensor(np.repeat(x.data, k, axis=0))
-        enc = EncoderStates(widen(enc.states), np.repeat(enc.mask, k, axis=0),
-                            [(widen(h), widen(c)) for h, c in enc.finals])
-        context = [(widen(s), np.repeat(m, k, axis=0)) for s, m in context]
+        slots = np.repeat(np.arange(n), k)
+        enc = enc.take(slots)
+        context = [(T.Tensor(s.data[slots]), m[slots]) for s, m in context]
     score = np.full((n, k), -np.inf)
-    score[limits >= 0, 0] = 0.0
+    score[:, 0] = 0.0
     carry, y = model.init_carry(enc), np.full(n * k, B.BOS, dtype=np.int64)
     hidden, vocab = model.cfg.hidden_dim, model.cfg.trg_vocab_size
     toks = np.zeros((n * k, 0), dtype=np.int64)
@@ -139,36 +137,35 @@ def _translate_group(model, docs: Sequence[C.Document], src_vocab, trg_vocab,
                      stats: TranslationStats) -> list[list[list[str]]]:
     reads = CONTEXTS[model.cfg.variant]
     keep_states = "dec" in reads and not gold_context
-    hyps: list[list[list[str]]] = [[] for _ in docs]
-    prev = None
-    batch = C.build_batch(docs, src_vocab, trg_vocab)
-    for i, pos in enumerate(batch.positions):
-        active = pos.active > 0
-        n_src = pos.src_mask.sum(axis=1).astype(np.int64)
-        limits = np.where(active, np.ceil(MAX_RATIO * n_src),
-                          -1).astype(np.int64)
-        with T.no_grad():
-            enc = model.encode(pos.src, pos.src_mask)
-            context = model.context_states(prev)
+    rows = C.flat_batch(docs, src_vocab, trg_vocab)
+    index = np.concatenate([np.arange(len(doc)) for doc in docs])
+    emitted: list[list[int]] = [[] for _ in index]
+    with T.no_grad():
+        enc = model.encode(rows.src, rows.src_mask)
+        left = model.leaves(rows, enc, model._decoder(
+            rows.trg_in, model.init_carry(enc), None)
+            if gold_context and "dec" in reads else None)
+        for i in range(index.max() + 1):
+            r = np.flatnonzero(index == i)
+            context = model.context_states(
+                model._predecessors(left, rows.prev[r]) if i else None)
             for name in reads if i else ():
-                stats.count(name, gold_context, int(active.sum()))
-            emitted, states = _beam_search(model, enc, context, beam_size,
-                                           limits, keep_states)
-            # what sentence i leaves for i + 1 (target side: only what is read)
-            trg = dec = None
-            if "trg" in reads:
-                trg = (pos.trg, pos.trg_mask) if gold_context \
-                    else C.pad_rows(emitted)
+                stats.count(name, gold_context, len(r))
+            hyps, states = _beam_search(model, enc.take(r), context,
+                                        beam_size, keep_states)
+            # free decoding: index i + 1 reads what index i emitted
+            out, kept = [[]] * len(index), [states[0][:0]] * len(index)
+            for row, hyp, st in zip(r.tolist(), hyps, states):
+                emitted[row] = out[row] = hyp
+                kept[row] = st
+            if "trg" in reads and not gold_context:
+                left = left._replace(trg=C.pad_rows(out))
             if keep_states:
-                states, mask = C.pad_rows(states)
-                dec = (T.Tensor(states), mask)
-            elif "dec" in reads:
-                dec = (model.decoder_states(enc, pos.trg_in), pos.trg_mask)
-            prev = Previous(src=(pos.src, pos.src_mask),
-                            enc=(enc.states, enc.mask), trg=trg, dec=dec)
-        for d in np.flatnonzero(active):
-            hyps[d].append(trg_vocab.decode(emitted[d]))
-    return hyps
+                values, mask = C.pad_rows(kept)
+                left = left._replace(dec=(T.Tensor(values), mask))
+    ends = np.cumsum([len(doc) for doc in docs]).tolist()
+    return [[trg_vocab.decode(hyp) for hyp in emitted[end - len(doc):end]]
+            for doc, end in zip(docs, ends)]
 
 
 def check_vocabularies(model: TranslationModel, src_vocab: Vocabulary,

@@ -134,6 +134,15 @@ class EncoderStates:
     mask: np.ndarray                       # (B, M)
     finals: list[tuple[T.Tensor, T.Tensor]]  # per layer (h, c), each (B, H)
 
+    def take(self, rows: np.ndarray) -> EncoderStates:
+        """The rows `rows` names (one may repeat), trimmed to their longest
+        source and at least one column."""
+        width = max(1, int(self.mask[rows].any(axis=0).sum()))
+        return EncoderStates(
+            T.Tensor(self.states.data[rows, :width]), self.mask[rows, :width],
+            [(T.Tensor(h.data[rows]), T.Tensor(c.data[rows]))
+             for h, c in self.finals])
+
 
 @dataclass
 class StepResult:
@@ -299,13 +308,14 @@ class TranslationModel:
         return StepResult(probs=T.softmax(logits), carry=new_carry,
                           h_top=layer_in, alpha=alpha, betas=betas)
 
-    def decoder_states(self, enc: EncoderStates, trg_in: np.ndarray
-                       ) -> T.Tensor:
-        """Decoder states (B, N, H) over BOS + gold tokens `trg_in`: the
-        top-layer state after consuming each gold token, as
-        `forward_loss` saves them; only the decoder runs."""
-        states = self._decoder(trg_in, self.init_carry(enc), None)
-        return T.Tensor(states.data[:, 1:])
+    def leaves(self, rows, enc: EncoderStates, states) -> Previous:
+        """What each of `rows` leaves for its document's next sentence;
+        `states` are the decoder states over `rows.trg_in`, or None."""
+        return Previous(
+            src=(rows.src, rows.src_mask), enc=(enc.states, enc.mask),
+            trg=(rows.trg, rows.trg_mask),
+            dec=None if states is None
+            else (T.Tensor(states.data[:, 1:]), rows.trg_mask))
 
     def _predecessors(self, left: Previous, prev: np.ndarray) -> Previous:
         """What each row's previous sentence left: row `prev[r]` of `left`,
@@ -329,27 +339,22 @@ class TranslationModel:
                      rng: Optional[np.random.Generator] = None
                      ) -> tuple[T.Tensor, EncoderStates, Previous, float]:
         """Teacher-forced mean NLL over the target tokens of `rows` (a
-        `corpus.SentenceRows`): one batch position, or every sentence of a
-        batch as one pass.
+        `corpus.SentenceRows`), every sentence of a batch as one pass.
 
-        `context` is what the rows' context attention reads, as
-        `context_states` gives it.  When it is None, row r reads what row
-        `rows.prev[r]` of this same pass, its document's previous
-        sentence, leaves; a document's first sentence reads no context.
+        Row r reads what row `rows.prev[r]`, its document's previous
+        sentence, `leaves` (a first sentence reads nothing), as decoding
+        does.  A given `context`, as `context_states` gives it, is read
+        instead: rows of one sentence index name no previous sentence.
 
         Returns (loss, encoder states, what each row leaves for the next,
-        the number of target tokens counted); its `dec` states are those
-        of `decoder_states`.
+        the number of target tokens counted).
         """
-        counted = np.flatnonzero(rows.out_mask * rows.active[:, None])
+        counted = np.flatnonzero(rows.out_mask)
         if counted.size == 0:
             raise ValueError("forward_loss on rows with no target tokens")
-        enc = self.encode(rows.src, rows.src_mask * rows.active[:, None], rng)
+        enc = self.encode(rows.src, rows.src_mask, rng)
         states = self._decoder(rows.trg_in, self.init_carry(enc), rng)
-        left = Previous(src=(rows.src, rows.src_mask),
-                        enc=(enc.states, enc.mask),
-                        trg=(rows.trg, rows.trg_mask),
-                        dec=(T.Tensor(states.data[:, 1:]), rows.trg_mask))
+        left = self.leaves(rows, enc, states)
         if context is None:
             context = self.context_states(
                 self._predecessors(left, rows.prev), rng)

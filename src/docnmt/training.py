@@ -156,8 +156,9 @@ def init_from_baseline(baseline: TranslationModel, variant: str,
     is zero so the new model initially reproduces the baseline exactly;
     separated variants' context LSTM starts from fresh random weights.
     """
-    if variant == "baseline":
-        raise ValueError(f"not a context variant: {variant}")
+    if baseline.cfg.variant != "baseline" or variant == "baseline":
+        raise ValueError(f"starts a context variant from a baseline model, "
+                         f"not {variant} from a {baseline.cfg.variant} model")
     cfg = dataclasses.replace(baseline.cfg, variant=variant)
     h = cfg.hidden_dim
     params: dict[str, T.Tensor] = {}

@@ -193,8 +193,7 @@ def decoder_loss_reference(model, pos, context, rng=None):
     from docnmt.model import context_attention
 
     p = model.params
-    full_mask = pos.out_mask * pos.active[:, None]
-    enc = model.encode(pos.src, pos.src_mask * pos.active[:, None], rng)
+    enc = model.encode(pos.src, pos.src_mask, rng)
     emb = T.embedding(p["trg_emb"], pos.trg_in)
     if rng is not None:
         emb = T.dropout(emb, model.cfg.dropout, rng)
@@ -215,7 +214,7 @@ def decoder_loss_reference(model, pos, context, rng=None):
                                         p["attn_out"])))
         h_tops.append(h2)
     h_tilde = T.reshape(stack(h_tildes, axis=1), (-1, model.cfg.hidden_dim))
-    counted = np.flatnonzero(full_mask)
+    counted = np.flatnonzero(pos.out_mask)
     loss = T.cross_entropy(T.embedding(h_tilde, counted), p["out_proj"],
                            pos.trg_out.reshape(-1)[counted])
     return loss, stack(h_tops[1:], axis=1)

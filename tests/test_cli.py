@@ -10,6 +10,9 @@ from docnmt import bpe as B
 from docnmt import cli
 from docnmt import corpus as C
 from docnmt import evaluation as E
+from docnmt import tensor as T
+from docnmt.model import load_checkpoint, save_checkpoint
+from docnmt.training import init_from_baseline
 
 from oracles import bootstrap_reference, sentence_stats
 
@@ -191,6 +194,21 @@ class TestTraining:
                      "--baseline", str(models / "base"),
                      "--out", str(tmp_path / "st")])
         assert not (tmp_path / "st.bin").exists()
+
+    def test_finetune_from_a_context_checkpoint_names_it(self, pipeline,
+                                                         tmp_path):
+        _, _, _, models, common = pipeline
+        prefix = tmp_path / "st"
+        save_checkpoint(init_from_baseline(load_checkpoint(models / "base"),
+                                           "shared-target", T.make_rng(1, 3)),
+                        prefix)
+        with pytest.raises(ValueError, match=(
+                rf"^--baseline {re.escape(str(prefix))}: .* not shared-source "
+                "from a shared-target model")):
+            cli.run(["finetune", *common, "--variant", "shared-source",
+                     "--baseline", str(prefix), "--epochs", "1",
+                     "--out", str(tmp_path / "ss")])
+        assert not (tmp_path / "ss.bin").exists()
 
     @pytest.mark.parametrize("command", ["train-baseline", "finetune"])
     @pytest.mark.parametrize("side", ["train", "dev"])

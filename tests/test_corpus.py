@@ -91,7 +91,9 @@ class TestBatching:
         assert len(batch.positions) == 5
         for i, pos in enumerate(batch.positions):
             np.testing.assert_array_equal(
-                pos.active, [1.0 if i < 2 else 0.0, 1.0])
+                pos.src_mask.any(axis=1), [i < 2, True])
+            np.testing.assert_array_equal(
+                pos.out_mask.any(axis=1), [i < 2, True])
 
     def test_pad_mask_correspondence(self):
         docs, _ = C.generate_synthetic(C.SynthConfig(num_documents=8, seed=5))
@@ -100,7 +102,8 @@ class TestBatching:
         for pos in batch.positions:
             np.testing.assert_array_equal(pos.src_mask == 0.0, pos.src == B.PAD)
             np.testing.assert_array_equal(pos.trg_mask == 0.0, pos.trg == B.PAD)
-            assert pos.out_mask.sum(axis=1)[pos.active == 1.0].min() >= 2
+            held = pos.src_mask.any(axis=1)
+            assert pos.out_mask.sum(axis=1)[held].min() >= 2
 
     def test_teacher_forcing_layout(self):
         doc = C.Document("a", [(["x"], ["u", "v"])])

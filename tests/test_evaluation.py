@@ -8,7 +8,7 @@ from docnmt import bpe as B
 from docnmt import corpus as C
 from docnmt import evaluation as E
 from docnmt import tensor as T
-from docnmt.model import ModelConfig, TranslationModel, VARIANTS
+from docnmt.model import CONTEXTS, ModelConfig, TranslationModel, VARIANTS
 
 from model_helpers import tiny_task, variant_family
 from oracles import (beam_reference, bootstrap_reference, greedy_reference,
@@ -32,21 +32,26 @@ def eos_prone_model(variant, src_v, trg_v, seed):
     return model
 
 
-def recording(model):
+def recording(model, docs):
     """A model sharing `model`'s weights that keeps the probabilities of
-    every `decode_step`: one list of steps per batch position."""
+    every `decode_step` of greedy decoding `docs` in one group, keyed by
+    (document, sentence index): a list of steps each.
+
+    Sentence index i decodes the documents that have an i-th sentence, in
+    order, all against one slice of encoder states."""
     copy = TranslationModel(model.cfg, params=model.params)
-    steps = []
+    steps, seen = {}, []
 
-    def encode(*args):
-        steps.append([])
-        return TranslationModel.encode(copy, *args)
-
-    def decode_step(*args):
-        res = TranslationModel.decode_step(copy, *args)
-        steps[-1].append(res.probs.data.copy())
+    def decode_step(y_prev, carry, enc, context):
+        res = TranslationModel.decode_step(copy, y_prev, carry, enc, context)
+        if not seen or enc is not seen[-1]:
+            seen.append(enc)  # kept alive, so an `is` test cannot misfire
+        i = len(seen) - 1
+        held = [d for d, doc in enumerate(docs) if len(doc) > i]
+        for row, d in enumerate(held):
+            steps.setdefault((d, i), []).append(res.probs.data[row].copy())
         return res
-    copy.encode, copy.decode_step = encode, decode_step
+    copy.decode_step = decode_step
     return copy, steps
 
 
@@ -299,6 +304,30 @@ class TestTranslate:
         assert (stats.cache_reuses, stats.teacher_forced,
                 stats.context_recomputes) == tuple(c * n for c in per_sentence)
 
+    @pytest.mark.parametrize("beam", [1, 3])
+    @pytest.mark.parametrize("gold", [False, True])
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_one_encoding_and_at_most_one_gold_pass_per_group(
+            self, task, variant, gold, beam):
+        """Each group of `batch_docs` documents, whatever their lengths, is
+        encoded once; the decoder runs over gold text once per group when
+        the variant reads decoder states under gold context, else never."""
+        _, seg, _, src_v, trg_v = task
+        model = eos_prone_model(variant, src_v, trg_v, seed=21)
+        calls = {"encode": 0, "_decoder": 0}
+        for name in calls:
+            def counted(*args, name=name):
+                calls[name] += 1
+                return getattr(TranslationModel, name)(model, *args)
+            setattr(model, name, counted)
+        assert len({len(doc) for doc in seg}) > 1
+        E.translate_corpus(model, seg, src_v, trg_v, beam_size=beam,
+                           gold_context=gold, batch_docs=2)
+        groups = math.ceil(len(seg) / 2)
+        gold_pass = gold and "dec" in CONTEXTS[variant]
+        assert calls == {"encode": groups,
+                         "_decoder": groups if gold_pass else 0}
+
     def test_greedy_deterministic(self, task):
         _, seg, _, src_v, trg_v = task
         model = TranslationModel(
@@ -342,16 +371,17 @@ class TestTranslate:
         model = TranslationModel(
             ModelConfig("shared-target", 64, 64, len(src_v), len(trg_v)),
             rng=T.make_rng(seed, 0))
-        batch_model, batch_steps = recording(model)
+        batch_model, batch_steps = recording(model, docs)
         batched, _ = E.translate_corpus(batch_model, docs, src_v, trg_v)
-        for row, doc in enumerate(docs):
-            alone_model, alone_steps = recording(model)
+        for d, doc in enumerate(docs):
+            alone_model, alone_steps = recording(model, [doc])
             alone, _ = E.translate_corpus(alone_model, [doc], src_v, trg_v)
-            assert alone[0] == batched[row]
-            for pos, steps in enumerate(alone_steps):
+            assert alone[0] == batched[d]
+            assert len(alone_steps) == len(doc)
+            for (_, i), steps in alone_steps.items():
                 for k, probs in enumerate(steps):
                     np.testing.assert_allclose(
-                        probs[0], batch_steps[pos][k][row],
+                        probs, batch_steps[d, i][k],
                         rtol=4 * np.finfo(np.float32).eps, atol=0)
 
     def test_gold_context_accepts_documents_with_gold_targets(self, task):

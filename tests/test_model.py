@@ -310,18 +310,6 @@ class TestDecodeStep:
                 np.testing.assert_allclose(res.probs.data, base.probs.data,
                                            atol=1e-6)
 
-    def test_decoder_states_match_forward_loss_bitwise(self, task):
-        # the probe's recurrence alone gives the states the full pass saves
-        _, batch, src_v, trg_v = task
-        model = make_model("shared-mix", src_v, trg_v, seed=8)
-        pos = batch.positions[1]
-        cache = position_cache(model, batch, 1)
-        with T.no_grad():
-            _, enc, prev, _ = model.forward_loss(pos, cache)
-            got = model.decoder_states(enc, pos.trg_in)
-        assert got.shape == (pos.trg.shape[0], pos.trg.shape[1], 8)
-        assert got.data.tobytes() == prev.dec[0].data.tobytes()
-
 
 class TestForwardLoss:
     def test_uniform_model_loss_is_log_vocab(self, task):
@@ -352,11 +340,12 @@ class TestForwardLoss:
 
     def test_masked_rows_contribute_exactly_zero(self, task):
         # the readout keeps only counted rows, so whatever a padded or
-        # inactive row's target is leaves loss and gradients bit for bit
+        # empty row's target is leaves loss and gradients bit for bit
         _, batch, src_v, trg_v = task
         model = make_model("shared-target", src_v, trg_v, seed=4)
         pos = batch.positions[-1]
-        assert (pos.active == 0).any() and (pos.out_mask == 0).any()
+        assert not pos.src_mask.any(axis=1).all()  # an exhausted document
+        assert (pos.out_mask == 0).any()
         context = position_cache(model, batch, len(batch.positions) - 1)
 
         def run(trg_out):
@@ -368,7 +357,7 @@ class TestForwardLoss:
 
         noise = np.random.default_rng(0).integers(0, len(trg_v),
                                                   pos.trg_out.shape)
-        counted = pos.out_mask * pos.active[:, None] > 0
+        counted = pos.out_mask > 0
         for got, want in zip(run(np.where(counted, pos.trg_out, noise)),
                              run(pos.trg_out)):
             assert got.tobytes() == want.tobytes()
@@ -423,14 +412,21 @@ class TestForwardLoss:
                                    sum(summed_loss([d]) for d in docs),
                                    rtol=1e-12)
 
+    @pytest.mark.parametrize("variant", [v for v in VARIANTS
+                                         if v != "baseline"])
+    def test_rows_without_prev_need_a_context(self, task, variant):
+        # one sentence index's rows name no previous sentences
+        _, batch, src_v, trg_v = task
+        model = make_model(variant, src_v, trg_v)
+        assert batch.positions[1].prev is None
+        with pytest.raises(ValueError, match=rf"^{variant} needs a context"):
+            model.forward_loss(batch.positions[1])
+
     def test_empty_position_rejected(self, task):
         _, batch, src_v, trg_v = task
         model = make_model("baseline", src_v, trg_v)
         pos = batch.positions[0]
-        hollow = type(pos)(src=pos.src, src_mask=pos.src_mask, trg=pos.trg,
-                           trg_mask=pos.trg_mask, trg_in=pos.trg_in,
-                           trg_out=pos.trg_out, out_mask=pos.out_mask,
-                           active=np.zeros_like(pos.active))
+        hollow = dataclasses.replace(pos, out_mask=np.zeros_like(pos.out_mask))
         with pytest.raises(ValueError):
             model.forward_loss(hollow, [])
 

@@ -204,7 +204,7 @@ class TestContextBuildOrder:
         for rows in batches:
             sentences = [src_v.decode(ids[mask > 0].tolist())
                          for ids, mask in zip(rows.src, rows.src_mask)]
-            assert (rows.active == 1.0).all()
+            assert rows.src_mask.any(axis=1).all()  # no empty rows
             for (doc, index), prev in zip(sentences, rows.prev.tolist()):
                 if index == "s0":
                     assert prev == -1
@@ -345,6 +345,14 @@ class TestFineTune:
         for rb, rf in zip(log_base.records, log_frozen.records):
             np.testing.assert_allclose(rf.loss, rb.loss, rtol=1e-5)
             np.testing.assert_allclose(rf.dev_bleu, rb.dev_bleu, atol=1e-9)
+
+    def test_init_from_baseline_rejects_a_context_model(self, baseline):
+        # its output projection has a context block the copy cannot take
+        base, _ = baseline
+        shared = TR.init_from_baseline(base, "shared-target", T.make_rng(0, 3))
+        with pytest.raises(ValueError, match="not shared-source from a "
+                                             "shared-target model"):
+            TR.init_from_baseline(shared, "shared-source", T.make_rng(0, 3))
 
     def test_init_from_baseline_rejects_baseline(self, baseline):
         base, _ = baseline
