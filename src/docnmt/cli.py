@@ -12,6 +12,7 @@ timestamps, so reruns with the same seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import statistics
@@ -141,6 +142,8 @@ def _reject_bpe_marker(path) -> None:
 
 
 def cmd_preprocess(args) -> int:
+    if args.merges < 0:
+        raise ValueError(f"--merges must be >= 0, got {args.merges}")
     extras = {"dev": (args.dev_src, args.dev_trg),
               "test": (args.test_src, args.test_trg)}
     for tag, pair in extras.items():
@@ -213,8 +216,7 @@ def _train_seeds(args, command: str, start, inputs: list) -> int:
     for seed in seeds:
         prefix = args.out if len(seeds) == 1 else f"{args.out}.s{seed}"
         tcfg = TrainConfig(seed=seed, epochs=args.epochs, lr=args.lr,
-                           max_docs_per_batch=args.batch_docs,
-                           grad_clip_norm=args.grad_clip)
+                           batch_docs=args.batch_docs, grad_clip=args.grad_clip)
         best, log = train_model(start(seed, src_vocab, trg_vocab), train_docs,
                                 dev_docs, src_vocab, trg_vocab, tcfg)
         save_checkpoint(best, prefix)
@@ -250,7 +252,8 @@ def cmd_finetune(args) -> int:
                                        T.make_rng(seed, 3))
         except ValueError as exc:
             raise ValueError(f"--baseline {args.baseline}: {exc}") from None
-        model.cfg.dropout = args.dropout   # overrides the checkpoint's
+        # overrides the checkpoint's, through ModelConfig's checks
+        model.cfg = dataclasses.replace(model.cfg, dropout=args.dropout)
         return model
     return _train_seeds(args, "finetune", start,
                         [f"{args.baseline}.manifest", f"{args.baseline}.bin"])
@@ -355,13 +358,25 @@ def cmd_params(args) -> int:
 # argument parsing
 
 
+def _seed(text: str) -> int:
+    """A `--seed` for numpy's generators, which take no negative seed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"seed {text!r} is not an "
+                                         "integer") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
 def _seed_list(text: str) -> str:
     """`--seed 4` or `--seed 1,2,3`, checked and kept as text for manifests.
 
     A repeated seed is refused: its second run would overwrite the first
     one's checkpoint and leave the summary without a mean.
     """
-    seeds = [str(int(seed)) for seed in text.split(",")]
+    seeds = [str(_seed(seed)) for seed in text.split(",")]
     for seed in seeds:
         if seeds.count(seed) > 1:
             raise argparse.ArgumentTypeError(f"seed {seed} is repeated in "
@@ -393,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic context corpus")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--out-dir", default=".")
     p.add_argument("--mode", required=True,
                    choices=["trg-informative", "src-informative"])
@@ -458,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare",
                        help="paired bootstrap significance of B over A")
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("hyp_a")
     p.add_argument("hyp_b")
     p.add_argument("refs")

@@ -85,7 +85,8 @@ def _beam_search(model, enc: EncoderStates, context, beam_size: int,
     while score.max() > -np.inf:
         res = model.decode_step(y, carry, enc, context)
         if keep_states and toks.shape[1]:
-            states = np.concatenate([states, res.h_top.data[:, None]], axis=1)
+            states = np.concatenate([states, res.carry[-1][0].data[:, None]],
+                                    axis=1)
         # each beam's `width` most probable tokens in argmax order, lowest id
         # first on ties; picked entries are overwritten in place
         probs, flat = res.probs.data, res.probs.data.reshape(-1)
@@ -127,8 +128,7 @@ def _beam_search(model, enc: EncoderStates, context, beam_size: int,
             carry = [(T.Tensor(h.data[gather]), T.Tensor(c.data[gather]))
                      for h, c in carry]
         toks = np.concatenate([toks, y[:, None]], axis=1)
-    best = [max(e, key=itemgetter(0)) if e else (0.0, [], states[0, :0])
-            for e in ended]
+    best = [max(e, key=itemgetter(0)) for e in ended]  # none is empty
     return [b[1] for b in best], [b[2] for b in best]
 
 
@@ -161,8 +161,7 @@ def _translate_group(model, docs: Sequence[C.Document], src_vocab, trg_vocab,
             if "trg" in reads and not gold_context:
                 left = left._replace(trg=C.pad_rows(out))
             if keep_states:
-                values, mask = C.pad_rows(kept)
-                left = left._replace(dec=(T.Tensor(values), mask))
+                left = left._replace(dec=C.pad_rows(kept))
     ends = np.cumsum([len(doc) for doc in docs]).tolist()
     return [[trg_vocab.decode(hyp) for hyp in emitted[end - len(doc):end]]
             for doc, end in zip(docs, ends)]

@@ -24,16 +24,16 @@ from . import tensor as T
 class Previous(NamedTuple):
     """What one sentence leaves for the next, per document row.
 
-    Each field is a (values, mask) pair, or None when nothing being run
-    reads it: `src` the source ids, `enc` the encoder states, `trg` the
-    target ids, `dec` the top-layer decoder state after each of those
-    target tokens was fed back.
+    Each field is a (values, mask) pair of arrays, or None when nothing
+    being run reads it: `src` the source ids, `enc` the encoder states,
+    `trg` the target ids, `dec` the top-layer decoder state after each of
+    those target tokens was fed back; `context_states` makes them tensors.
     """
 
     src: Optional[tuple[np.ndarray, np.ndarray]] = None
-    enc: Optional[tuple[T.Tensor, np.ndarray]] = None
+    enc: Optional[tuple[np.ndarray, np.ndarray]] = None
     trg: Optional[tuple[np.ndarray, np.ndarray]] = None
-    dec: Optional[tuple[T.Tensor, np.ndarray]] = None
+    dec: Optional[tuple[np.ndarray, np.ndarray]] = None
 
 
 # Where each variant's context comes from: the `Previous` fields its
@@ -79,6 +79,8 @@ class ModelConfig:
                                  f"{getattr(self, name)}")
         if self.hidden_dim % 2 != 0:
             raise ValueError("hidden_dim must be even (bidirectional halves)")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def uses_context(self) -> bool:
@@ -147,8 +149,7 @@ class EncoderStates:
 @dataclass
 class StepResult:
     probs: T.Tensor            # (B, V)
-    carry: list[tuple[T.Tensor, T.Tensor]]
-    h_top: T.Tensor            # (B, H) top-layer decoder state
+    carry: list[tuple[T.Tensor, T.Tensor]]  # (h, c) per layer, top last
     alpha: Optional[T.Tensor]  # (B, M) current-sentence attention
     betas: list[T.Tensor]      # context attention weights per context entry
 
@@ -241,7 +242,7 @@ class TranslationModel:
         of `prev` this variant's `CONTEXTS` names; none for a document's
         first sentence (`prev` None).
 
-        Shared variants read detached copies of the saved states, so no
+        Shared variants read constant copies of the saved states, so no
         gradient crosses the sentence boundary.
         """
         if prev is None:
@@ -256,7 +257,7 @@ class TranslationModel:
                 states, _ = self._stack("ctx", f"{name}_emb", values, mask, rng)
                 context.append((states, mask))
             else:
-                context.append((values.detach(), mask))
+                context.append((T.Tensor(values.copy()), mask))
         return context
 
     # -- decoder ----------------------------------------------------------
@@ -306,16 +307,15 @@ class TranslationModel:
         h_tilde, alpha, betas = self._readout(layer_in, enc, context)
         logits = T.matmul(h_tilde, self.params["out_proj"])
         return StepResult(probs=T.softmax(logits), carry=new_carry,
-                          h_top=layer_in, alpha=alpha, betas=betas)
+                          alpha=alpha, betas=betas)
 
     def leaves(self, rows, enc: EncoderStates, states) -> Previous:
         """What each of `rows` leaves for its document's next sentence;
         `states` are the decoder states over `rows.trg_in`, or None."""
         return Previous(
-            src=(rows.src, rows.src_mask), enc=(enc.states, enc.mask),
+            src=(rows.src, rows.src_mask), enc=(enc.states.data, enc.mask),
             trg=(rows.trg, rows.trg_mask),
-            dec=None if states is None
-            else (T.Tensor(states.data[:, 1:]), rows.trg_mask))
+            dec=None if states is None else (states.data[:, 1:], rows.trg_mask))
 
     def _predecessors(self, left: Previous, prev: np.ndarray) -> Previous:
         """What each row's previous sentence left: row `prev[r]` of `left`,
@@ -328,11 +328,9 @@ class TranslationModel:
         fields = {}
         for name in reads:
             values, mask = getattr(left, name)
-            values = T.Tensor(values.data[prev]) \
-                if isinstance(values, T.Tensor) else values[prev]
             mask = mask[prev]
             mask[prev < 0] = 0.0
-            fields[name] = (values, mask)
+            fields[name] = (values[prev], mask)
         return Previous(**fields)
 
     def forward_loss(self, rows, context=None,

@@ -77,10 +77,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def detach(self) -> "Tensor":
-        """Constant copy, cut loose from the graph."""
-        return Tensor(self.data.copy())
-
     def accumulate_grad(self, g: np.ndarray, owned: bool = False) -> None:
         """Add `g` into the gradient; `owned` marks arrays safe to adopt."""
         if self.grad is None:
@@ -218,11 +214,11 @@ def tanh(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Numerically stable softmax along the last axis; rows sum to 1."""
-    if np.isnan(x.data).any():
-        raise ValueError("softmax received NaN input")
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=-1, keepdims=True)
+    if np.isnan(s).any():  # a NaN, or a row whose maximum is infinite
+        raise ValueError("softmax received NaN input or an infinite maximum")
 
     def bw(out):
         g = out.grad

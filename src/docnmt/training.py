@@ -43,8 +43,8 @@ class TrainingDiverged(RuntimeError):
 class TrainConfig:
     epochs: int = 30
     lr: float = 0.01
-    max_docs_per_batch: int = 128
-    grad_clip_norm: float = 5.0
+    batch_docs: int = 128
+    grad_clip: float = 5.0
     seed: int = 0
 
     def __post_init__(self):
@@ -52,12 +52,11 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if self.max_docs_per_batch < 1:
-            raise ValueError("max_docs_per_batch must be >= 1, got "
-                             f"{self.max_docs_per_batch}")
-        if self.grad_clip_norm <= 0:
-            raise ValueError("grad_clip_norm must be positive, got "
-                             f"{self.grad_clip_norm}")
+        if self.batch_docs < 1:
+            raise ValueError(f"batch_docs must be >= 1, got {self.batch_docs}")
+        if self.grad_clip <= 0:
+            raise ValueError("grad_clip must be positive, got "
+                             f"{self.grad_clip}")
 
 
 @dataclass
@@ -118,7 +117,7 @@ def train_model(model: TranslationModel, train_docs: Sequence[C.Document],
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
         batches = C.make_batches(train_docs, src_vocab, trg_vocab,
-                                 max_docs=cfg.max_docs_per_batch,
+                                 max_docs=cfg.batch_docs,
                                  rng=shuffle_rng)
         epoch_nll, epoch_tokens = 0.0, 0.0
         for b_idx, rows in enumerate(batches):
@@ -130,7 +129,7 @@ def train_model(model: TranslationModel, train_docs: Sequence[C.Document],
             T.backward(loss)
             epoch_nll += float(loss.data) * ntok
             epoch_tokens += ntok
-            norm = T.clip_global_norm(params, cfg.grad_clip_norm)
+            norm = T.clip_global_norm(params, cfg.grad_clip)
             if not math.isfinite(norm):
                 raise TrainingDiverged(
                     f"non-finite gradient norm at epoch {epoch}, batch {b_idx}")

@@ -283,7 +283,7 @@ def greedy_reference(model, doc, src_vocab, trg_vocab, gold_context=False):
                 res = model.decode_step(np.array([y]), carry, enc, context)
                 carry = res.carry
                 if out:
-                    states.append(res.h_top.data[0])
+                    states.append(res.carry[-1][0].data[0])
                 y = int(np.argmax(res.probs.data[0]))
                 if y == B.EOS:
                     break
@@ -298,7 +298,7 @@ def greedy_reference(model, doc, src_vocab, trg_vocab, gold_context=False):
                     res = model.decode_step(np.array([y]), carry, enc,
                                             context)
                     carry = res.carry
-                    states.append(res.h_top.data[0])
+                    states.append(res.carry[-1][0].data[0])
                 states = states[1:]
         hyps.append(trg_vocab.decode(out))
         prev = _previous(model, src_ids, src_mask, enc, context_ids, states)
@@ -309,15 +309,14 @@ def _previous(model, src_ids, src_mask, enc, ids, states):
     """What one sentence leaves for the next, as a public `Previous`: the
     target ids and the top-layer decoder state after each was fed back
     (a length-capped last token has none)."""
-    from docnmt import tensor as T
     from docnmt.model import Previous
 
     dec = np.zeros((1, max(1, len(states)), model.cfg.hidden_dim),
                    dtype=model.dtype)
     dec[0, :len(states)] = np.reshape(states, (-1, model.cfg.hidden_dim))
     _, dec_mask = _one_row([0] * len(states))
-    return Previous(src=(src_ids, src_mask), enc=(enc.states, enc.mask),
-                    trg=_one_row(ids), dec=(T.Tensor(dec), dec_mask))
+    return Previous(src=(src_ids, src_mask), enc=(enc.states.data, enc.mask),
+                    trg=_one_row(ids), dec=(dec, dec_mask))
 
 
 def beam_reference(model, doc, src_vocab, trg_vocab, beam_size):
@@ -353,7 +352,7 @@ def beam_reference(model, doc, src_vocab, trg_vocab, beam_size):
                     res = model.decode_step(np.array([y]), carry, enc,
                                             context)
                     if toks:
-                        states = states + [res.h_top.data[0]]
+                        states = states + [res.carry[-1][0].data[0]]
                     logp = np.log(np.maximum(
                         res.probs.data[0].astype(np.float64), 1e-300))
                     ranked += [(-(score + lp), b, t, toks, res.carry, states)

@@ -81,7 +81,7 @@ def _run_seed(mode: str, variant: str, seed: int):
     train_s, dev_s, test_s, test_docs, test_meta, src_v, trg_v = \
         _prepare_corpus(mode)
     tcfg = TrainConfig(epochs=DESK["epochs"], lr=DESK["lr"],
-                       max_docs_per_batch=DESK["batch_docs"], seed=seed)
+                       batch_docs=DESK["batch_docs"], seed=seed)
     started = time.monotonic()
     base_cfg = ModelConfig("baseline", DESK["emb_dim"], DESK["hidden_dim"],
                            len(src_v), len(trg_v))

@@ -134,6 +134,16 @@ class TestSynthPreprocess:
                      "--out-dir", str(tmp_path / "prep")])
         assert not (tmp_path / "prep").exists()
 
+    def test_negative_merges_rejected_before_writing(self, pipeline,
+                                                     tmp_path):
+        _, data, _, _, _ = pipeline
+        with pytest.raises(ValueError, match=r"^--merges must be >= 0, "
+                                             r"got -1$"):
+            cli.run(["preprocess", "--train-src", str(data / "train.src"),
+                     "--train-trg", str(data / "train.trg"), "--merges", "-1",
+                     "--out-dir", str(tmp_path / "prep")])
+        assert not (tmp_path / "prep").exists()
+
     @pytest.mark.parametrize("flag,value,setting", [
         ("--docs", "0", "num_documents"), ("--fillers", "0", "num_fillers")])
     def test_empty_corpus_rejected_before_writing(self, tmp_path, flag, value,
@@ -231,8 +241,8 @@ class TestTraining:
         assert not (tmp_path / "m.bin").exists()
 
     @pytest.mark.parametrize("flag,value,setting", [
-        ("--batch-docs", "-2", "max_docs_per_batch"),
-        ("--grad-clip", "0", "grad_clip_norm")])
+        ("--batch-docs", "-2", "batch_docs"),
+        ("--grad-clip", "0", "grad_clip")])
     def test_non_positive_setting_rejected_before_training(
             self, pipeline, tmp_path, flag, value, setting):
         # -2 documents per batch would write an untrained checkpoint, and
@@ -242,6 +252,22 @@ class TestTraining:
             cli.run(["train-baseline", *common, flag, value, "--epochs", "1",
                      "--out", str(tmp_path / "base")])
         assert not (tmp_path / "base.bin").exists()
+
+
+    @pytest.mark.parametrize("command,value", [("train-baseline", "1.5"),
+                                               ("finetune", "-0.5")])
+    def test_dropout_outside_unit_interval_rejected_before_training(
+            self, pipeline, tmp_path, command, value):
+        _, _, _, models, common = pipeline
+        argv = [command, *common, "--dropout", value, "--epochs", "1",
+                "--out", str(tmp_path / "m")]
+        if command == "finetune":
+            argv += ["--variant", "shared-target",
+                     "--baseline", str(models / "base")]
+        with pytest.raises(ValueError, match=rf"^dropout must be in \[0, 1\), "
+                                             rf"got {value}$"):
+            cli.run(argv)
+        assert not (tmp_path / "m.bin").exists()
 
 
 class TestTranslateEvaluateCompare:
@@ -576,6 +602,30 @@ class TestFlagSurface:
             cli.run(argv)
         assert info.value.code == 2
         assert "argument --seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,value", [
+        ("synth", "-1"), ("train-baseline", "2,-1"), ("finetune", "-3"),
+        ("compare", "-2")])
+    def test_negative_seed_is_a_usage_error(self, capsys, tmp_path, command,
+                                            value):
+        # numpy would refuse it later with "expected non-negative integer"
+        argv = {"synth": ["synth", "--mode", "trg-informative", "--docs", "2",
+                          "--out-dir", str(tmp_path / "data")],
+                "compare": ["compare", "a", "b", "c"]}.get(command)
+        if argv is None:
+            argv = [command, "--out", str(tmp_path / "m")]
+            for name in ("train-src", "train-trg", "dev-src", "dev-trg",
+                         "src-vocab", "trg-vocab"):
+                argv += [f"--{name}", "f"]
+            if command == "finetune":
+                argv += ["--variant", "shared-target", "--baseline", "b"]
+        with pytest.raises(SystemExit) as info:
+            cli.run(argv + ["--seed", value])
+        assert info.value.code == 2
+        negative = value.split(",")[-1]
+        assert f"argument --seed: seed must be >= 0, got {negative}" in \
+            capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_repeated_seed_is_a_usage_error(self, capsys, tmp_path):
         # the second run of seed 3 would overwrite m.s3.* and the summary

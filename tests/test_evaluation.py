@@ -384,6 +384,58 @@ class TestTranslate:
                         probs, batch_steps[d, i][k],
                         rtol=4 * np.finfo(np.float32).eps, atol=0)
 
+    @pytest.mark.parametrize("hidden", [12, 64])
+    @pytest.mark.parametrize("batch_docs", [1, 2, 5])
+    @pytest.mark.parametrize("beam", [1, 3])
+    @pytest.mark.parametrize("variant", ["shared-target", "shared-mix"])
+    def test_saved_states_are_teacher_forced_states_of_the_hypothesis(
+            self, task, monkeypatch, variant, beam, batch_docs, hidden):
+        """What free decoding saves for the next sentence is the decoder
+        run teacher-forced over BOS + the emitted hypothesis from the same
+        encoder finals, so shared-target needs no second pass.  A row keeps
+        one state per token fed back: all of an EOS-ended hypothesis, all
+        but the last token of a length-capped one.  Bitwise where the beam
+        call has two or more rows; a one-row call can take OpenBLAS's gemv
+        path, so there within 4 float32 epsilons of the row's largest
+        state."""
+        _, seg, _, src_v, trg_v = task
+        # an empty source caps its hypothesis at its first token
+        docs = seg + [C.Document("hollow", [seg[0].pairs[0], ([], [])])]
+        model = TranslationModel(
+            ModelConfig(variant, hidden, hidden, len(src_v), len(trg_v)),
+            rng=T.make_rng(23, 0))
+        # rows end both ways: at EOS, and at the length cap
+        model.params["out_proj"].data[:, B.EOS] *= 2.0
+        search, calls = E._beam_search, []
+
+        def recorded(model, enc, context, beam_size, keep_states):
+            hyps, states = search(model, enc, context, beam_size, keep_states)
+            calls.append((enc, hyps, states))
+            return hyps, states
+        monkeypatch.setattr(E, "_beam_search", recorded)
+        E.translate_corpus(model, docs, src_v, trg_v, beam_size=beam,
+                           batch_docs=batch_docs)
+        rows = ends = 0
+        for enc, hyps, states in calls:
+            limits = np.ceil(E.MAX_RATIO * enc.mask.sum(axis=1))
+            ids, _ = C.pad_rows([[B.BOS] + hyp for hyp in hyps])
+            with T.no_grad():
+                want = model._decoder(ids, model.init_carry(enc), None).data
+            for row, (hyp, got) in enumerate(zip(hyps, states)):
+                capped = len(hyp) >= max(1, limits[row])
+                assert len(got) == len(hyp) - capped
+                expected = want[row, 1:1 + len(got)]
+                if len(hyps) > 1:
+                    assert got.tobytes() == expected.tobytes()
+                else:
+                    scale = 4 * np.finfo(np.float32).eps * \
+                        np.abs(expected).max(initial=0.0)
+                    np.testing.assert_allclose(got, expected, rtol=0,
+                                               atol=scale)
+                rows, ends = rows + 1, ends + (not capped)
+        assert rows == sum(len(doc) for doc in docs)
+        assert 0 < ends < rows  # both kinds of ending were checked
+
     def test_gold_context_accepts_documents_with_gold_targets(self, task):
         _, seg, _, src_v, trg_v = task
         model = TranslationModel(

@@ -51,6 +51,13 @@ class TestConfig:
                                              rf"got {value}\b"):
             ModelConfig("baseline", **sizes)
 
+    @pytest.mark.parametrize("dropout", [-0.5, 1.0, 7.0, float("nan")])
+    def test_dropout_outside_unit_interval_rejected(self, dropout):
+        # T.dropout would refuse it only at the first training batch
+        with pytest.raises(ValueError, match=rf"dropout must be in \[0, 1\), "
+                                             rf"got {dropout}$"):
+            ModelConfig("baseline", 8, 8, 10, 10, dropout=dropout)
+
 
 # The checkpoint layout at E=3, H=4, V_src=5, V_trg=7: every name, shape
 # and position.  Existing checkpoints only load while this holds.
@@ -198,7 +205,7 @@ class TestContextStates:
         with T.no_grad():
             enc = model.encode(pos.src, pos.src_mask)
         [(states, mask)] = model.context_states(
-            Previous(enc=(enc.states, enc.mask)))
+            Previous(enc=(enc.states.data, enc.mask)))
         np.testing.assert_array_equal(states.data, enc.states.data)
         assert not states.requires_grad
 
@@ -210,7 +217,7 @@ class TestContextStates:
             _, _, prev, _ = model.forward_loss(pos, model.context_states())
         [(states, _)] = model.context_states(prev)
         before = states.data.copy()
-        prev.dec[0].data[:] = 123.0  # later mutation must not reach the copy
+        prev.dec[0][:] = 123.0  # later mutation must not reach the copy
         np.testing.assert_array_equal(states.data, before)
 
     def test_zeroed_context_encoder_contributes_zero(self, task):
@@ -478,7 +485,7 @@ class TestGradientFlowBoundary:
         _, batch, src_v, trg_v = task
         model = make_model("shared-mix", src_v, trg_v)
         first, second = batch.positions[0], batch.positions[1]
-        _, _, prev, _ = model.forward_loss(first, [])
+        _, enc, prev, _ = model.forward_loss(first, [])
         context = model.context_states(prev)
         assert len(context) == 2
         for states, _ in context:
@@ -486,7 +493,7 @@ class TestGradientFlowBoundary:
         loss, _, _, _ = model.forward_loss(second, context)
         T.backward(loss)  # also clears the first position's records
         assert model.params["attn_out"].grad is not None
-        assert prev.enc[0].grad is None and prev.dec[0].grad is None
+        assert enc.states.grad is None
 
 
 class TestGradients:
@@ -544,15 +551,19 @@ class TestDecoderOracle:
             model.zero_grad()
             loss, dec = forward(pos, model.context_states(prev, rng), rng)
             T.backward(loss, params=model.param_list())
-            return [loss.data, dec.data] + [p.grad.copy()
-                                            for p in model.param_list()]
+            return [loss.data, dec] + [p.grad.copy()
+                                       for p in model.param_list()]
 
         def scans(pos, context, rng):
             loss, _, prev, _ = model.forward_loss(pos, context, rng)
             return loss, prev.dec[0]
 
+        def reference(pos, context, rng):
+            loss, dec = decoder_loss_reference(model, pos, context, rng)
+            return loss, dec.data
+
         got = run(scans)
-        want = run(lambda *args: decoder_loss_reference(model, *args))
+        want = run(reference)
         assert got[0] != 0.0 and len(got) == len(want)
         for g, w in zip(got, want):
             assert g.shape == w.shape
@@ -646,6 +657,8 @@ class TestCheckpoint:
          r"ckpt\.manifest: needs emb_dim= as int, got 'four'"),
         ("dropout=", "dropout=high",
          r"ckpt\.manifest: needs dropout= as float, got 'high'"),
+        ("dropout=", "dropout=7.0",
+         r"ckpt\.manifest: dropout must be in \[0, 1\), got 7\.0"),
         ("variant=", "variant=sideways",
          r"ckpt\.manifest: unknown variant: sideways"),
         ("hidden_dim=", "hidden_dim",

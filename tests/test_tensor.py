@@ -32,6 +32,14 @@ class TestSoftmax:
         with pytest.raises(ValueError):
             T.softmax(T.Tensor([0.0, float("nan")]))
 
+    @pytest.mark.parametrize("row", [[-np.inf, -np.inf], [np.inf, 0.0]])
+    def test_infinite_maximum_rejected(self, row):
+        # its probabilities would be NaN, and beam search could rank no
+        # candidate of the row
+        with np.errstate(invalid="ignore"), pytest.raises(
+                ValueError, match="infinite maximum"):
+            T.softmax(T.Tensor(row))
+
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
         for _ in range(50):

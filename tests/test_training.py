@@ -39,8 +39,8 @@ class TestTrainConfig:
             TR.TrainConfig(lr=0.0)
 
     @pytest.mark.parametrize("setting,value", [
-        ("max_docs_per_batch", 0), ("max_docs_per_batch", -2),
-        ("grad_clip_norm", 0.0), ("grad_clip_norm", -1.0)])
+        ("batch_docs", 0), ("batch_docs", -2),
+        ("grad_clip", 0.0), ("grad_clip", -1.0)])
     def test_non_positive_batch_and_clip_rejected(self, setting, value):
         # -2 documents per batch would train nothing, and a clip norm <= 0
         # would turn clipping off, both silently
@@ -110,7 +110,7 @@ class TestPretrain:
     def test_memorization_smoke(self):
         docs, vocab = copy_corpus()
         mcfg = ModelConfig("baseline", 32, 32, len(vocab), len(vocab))
-        tcfg = TR.TrainConfig(epochs=60, lr=0.1, max_docs_per_batch=1, seed=5)
+        tcfg = TR.TrainConfig(epochs=60, lr=0.1, batch_docs=1, seed=5)
         best, log = TR.train_model(
             TranslationModel(mcfg, rng=T.make_rng(tcfg.seed, 0)),
             docs, docs, vocab, vocab, tcfg)
@@ -120,7 +120,7 @@ class TestPretrain:
     def test_fixed_seed_reproduces_log(self, synth_setup):
         seg, src_v, trg_v = synth_setup
         mcfg = ModelConfig("baseline", 16, 16, len(src_v), len(trg_v))
-        tcfg = TR.TrainConfig(epochs=2, lr=0.1, max_docs_per_batch=4, seed=9)
+        tcfg = TR.TrainConfig(epochs=2, lr=0.1, batch_docs=4, seed=9)
         log_a, log_b = (
             TR.train_model(TranslationModel(mcfg, rng=T.make_rng(tcfg.seed, 0)),
                            seg, seg, src_v, trg_v, tcfg)[1] for _ in range(2))
@@ -134,7 +134,7 @@ class TestPretrain:
             ModelConfig("baseline", 16, 16, len(src_v), len(trg_v)),
             rng=T.make_rng(1, 0))
         model.params["out_proj"].data[:, 0] = np.inf
-        tcfg = TR.TrainConfig(epochs=1, lr=0.1, max_docs_per_batch=4, seed=1)
+        tcfg = TR.TrainConfig(epochs=1, lr=0.1, batch_docs=4, seed=1)
         with pytest.raises(TR.TrainingDiverged, match="epoch 1"):
             TR.train_model(model, seg, seg, src_v, trg_v, tcfg)
 
@@ -151,7 +151,7 @@ class TestPretrain:
             return original(params, max_norm)
 
         monkeypatch.setattr(TR.T, "clip_global_norm", poison)
-        tcfg = TR.TrainConfig(epochs=1, lr=0.1, max_docs_per_batch=4, seed=1)
+        tcfg = TR.TrainConfig(epochs=1, lr=0.1, batch_docs=4, seed=1)
         with pytest.raises(TR.TrainingDiverged, match=r"epoch 1, batch 0$"):
             TR.train_model(model, seg, seg, src_v, trg_v, tcfg)
         for p in model.param_list():
@@ -173,8 +173,8 @@ class TestGradientClipping:
 
         monkeypatch.setattr(TR.T, "clip_global_norm", spy)
         mcfg = ModelConfig("baseline", 16, 16, len(src_v), len(trg_v))
-        tcfg = TR.TrainConfig(epochs=1, lr=0.1, max_docs_per_batch=2, seed=2,
-                              grad_clip_norm=0.01)
+        tcfg = TR.TrainConfig(epochs=1, lr=0.1, batch_docs=2, seed=2,
+                              grad_clip=0.01)
         TR.train_model(
             TranslationModel(mcfg, rng=T.make_rng(2, 0)),
             seg, seg, src_v, trg_v, tcfg)
@@ -258,7 +258,7 @@ class TestOnePass:
 def baseline(synth_setup):
     seg, src_v, trg_v = synth_setup
     mcfg = ModelConfig("baseline", 16, 16, len(src_v), len(trg_v))
-    tcfg = TR.TrainConfig(epochs=3, lr=0.1, max_docs_per_batch=4, seed=6)
+    tcfg = TR.TrainConfig(epochs=3, lr=0.1, batch_docs=4, seed=6)
     return TR.train_model(TranslationModel(mcfg, rng=T.make_rng(tcfg.seed, 0)),
                           seg, seg, src_v, trg_v, tcfg)
 
@@ -281,7 +281,7 @@ class TestFineTune:
         base, _ = baseline
         prefix = str(tmp_path / "base")
         save_checkpoint(base, prefix)
-        tcfg = TR.TrainConfig(epochs=1, lr=0.1, max_docs_per_batch=4, seed=7)
+        tcfg = TR.TrainConfig(epochs=1, lr=0.1, batch_docs=4, seed=7)
         for variant in VARIANTS:
             if variant == "baseline":
                 continue
@@ -301,7 +301,7 @@ class TestFineTune:
         model = TR.init_from_baseline(load_checkpoint(prefix), "shared-target",
                                       T.make_rng(8, 3))
         TR.train_model(model, seg, seg, src_v, trg_v,
-                       TR.TrainConfig(epochs=1, lr=0.1, max_docs_per_batch=4,
+                       TR.TrainConfig(epochs=1, lr=0.1, batch_docs=4,
                                       seed=8))
         assert (tmp_path / "frozen.bin").read_bytes() == before
 
@@ -321,7 +321,7 @@ class TestFineTune:
                                                             monkeypatch):
         seg, src_v, trg_v = synth_setup
         base, _ = baseline
-        tcfg = TR.TrainConfig(epochs=3, lr=0.1, max_docs_per_batch=4, seed=11)
+        tcfg = TR.TrainConfig(epochs=3, lr=0.1, batch_docs=4, seed=11)
 
         cont = TranslationModel(
             base.cfg, params={n: T.Tensor(p.data.copy(), requires_grad=True)
