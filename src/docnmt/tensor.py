@@ -45,7 +45,7 @@ def no_grad():
 class Tensor:
     """A dense n-dimensional float array, optionally tracked for gradients."""
 
-    __slots__ = ("data", "grad", "requires_grad", "__weakref__")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         if isinstance(data, np.ndarray) and dtype is None \
@@ -105,8 +105,11 @@ def backward(loss: Tensor, params: Optional[Iterable[Tensor]] = None) -> None:
 
     Pops each record before running it, so a record's outputs and what
     its backward function holds are freed as soon as it has run, and
-    leaves the tape empty however it exits.  When `params` is given, any
-    listed tensor the loss never touched gets an explicit zero gradient.
+    leaves the tape empty however it exits.  A record runs when the loss
+    read any of its outputs, and an output nobody read gets a zero
+    gradient first, so a backward function has one path whatever its
+    caller read.  When `params` is given, any listed tensor the loss
+    never touched gets an explicit zero gradient.
     """
     if loss.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -115,6 +118,9 @@ def backward(loss: Tensor, params: Optional[Iterable[Tensor]] = None) -> None:
         while _tape:
             outputs, fn = _tape.pop()
             if any(out.grad is not None for out in outputs):
+                for out in outputs:
+                    if out.grad is None:
+                        out.grad = np.zeros_like(out.data)
                 fn(*outputs)
     finally:
         _tape.clear()
@@ -475,67 +481,57 @@ def lstm_scan(x: Tensor, mask: np.ndarray,
     h_first = np.zeros_like(cs[0])
     for carried, state in zip((h_first, cs[0]), initial):
         carried[...] = per_step(state.data)
-    # the (position, block) of `states` each direction writes at step s
-    slots = [[(p, slice(d * hidden, (d + 1) * hidden))
-              for d, p in enumerate((s, steps - 1 - s)[:len(cells)])]
-             for s in range(steps)]
     states = np.empty((batch, steps, len(cells) * hidden), dtype=x.dtype)
+    # outs[d] is direction d's (B, steps, H) block of states, read in its
+    # reading order: step s writes outs[d][:, s]
+    outs = [states[:, o, d * hidden:(d + 1) * hidden]
+            for d, o in enumerate(order)]
     h, gates = h_first, []
     for s in range(steps):
         z = np.matmul(xs[s], w_x) + np.matmul(h, w_h) + bias
         h, cs[s + 1], gates_s = _gates(z, h, cs[s], ms[s], keeps[s])
         gates.append(gates_s)
-        for d, (p, block) in enumerate(slots[s]):
-            states[:, p, block] = h[d]
+        for d, out in enumerate(outs):
+            out[:, s] = h[d]
     h_last = np.concatenate(list(h), axis=-1)
     c_last = np.concatenate(list(cs[steps]), axis=-1)
 
-    def h_before(s):
-        """The hidden state before step s, (direction, B, H)."""
-        return h_first if s == 0 else \
-            np.stack([states[:, p, block] for p, block in slots[s - 1]])
-
     def bw(states_out, h_out, c_out):
-        zero = np.zeros_like(h_first)
-        g_states = None
-        if states_out.grad is not None:
-            g = states_out.grad.reshape(batch, steps, len(cells), hidden)
-            g_states = np.stack([g[:, o, d].transpose(1, 0, 2)
-                                 for d, o in enumerate(order)], axis=1)
-        gh = None if h_out.grad is None else per_step(h_out.grad)
-        gc = None if c_out.grad is None else per_step(c_out.grad)
-        if g_states is not None:
-            gh = g_states[-1] if gh is None else gh + g_states[-1]
+        # g_out[s + 1] is the gradient of step s's states, g_out[0] zero
+        g_out = np.zeros((steps + 1,) + h_first.shape, dtype=x.dtype)
+        g = states_out.grad.reshape(batch, steps, len(cells), hidden)
+        for d, o in enumerate(order):
+            g_out[1:, d] = g[:, o, d].transpose(1, 0, 2)
+        gh = g_out[steps] + per_step(h_out.grad)
+        gc = per_step(c_out.grad)
         w_x_t, w_h_t = w_x.swapaxes(-1, -2), w_h.swapaxes(-1, -2)
         if x.requires_grad and x.grad is None:
             x.grad = np.zeros_like(x.data)
+        # x's gradient, viewed in each direction's reading order
+        x_grads = [x.grad[:, o] for o in order] if x.requires_grad else ()
         for s in range(steps - 1, -1, -1):
-            gh_s = zero if gh is None else gh
-            gc_s = zero if gc is None else gc
-            gz, gc_total = _gates_backward(gh_s, gc_s, cs[s], cs[s + 1],
-                                           ms[s], gates[s])
+            gz, gc_total = _gates_backward(gh, gc, cs[s], cs[s + 1], ms[s],
+                                           gates[s])
             if x.requires_grad:
-                gx = np.matmul(gz, w_x_t)
-                for d in range(len(cells)):
-                    x.grad[:, (s, steps - 1 - s)[d]] += gx[d]
+                for x_grad, gx in zip(x_grads, np.matmul(gz, w_x_t)):
+                    x_grad[:, s] += gx
+            h_prev = np.stack([out[:, s - 1] for out in outs]) if s \
+                else h_first
             grads = (np.matmul(xs[s].swapaxes(-1, -2), gz),
-                     np.matmul(h_before(s).swapaxes(-1, -2), gz),
+                     np.matmul(h_prev.swapaxes(-1, -2), gz),
                      gz.sum(axis=1))
             for d, cell in enumerate(cells):
                 for p, gp in zip(cell, grads):
                     if p.requires_grad:
                         p.accumulate_grad(gp[d], owned=True)
-            if s > 0 or initial:
-                # (output term + masked carry) + recurrent term, as the
-                # chain of cell records sums them
-                carry = gh_s * keeps[s]
-                gh = carry if g_states is None or s == 0 \
-                    else g_states[s - 1] + carry
-                gh += np.matmul(gz, w_h_t)
-                gc = gc_s * keeps[s]
-                gc += gc_total * gates[s][..., hidden:2 * hidden]
+            # (output term + masked carry) + recurrent term, as the chain
+            # of cell records sums them
+            gh = g_out[s] + gh * keeps[s]
+            gh += np.matmul(gz, w_h_t)
+            gc = gc * keeps[s]
+            gc += gc_total * gates[s][..., hidden:2 * hidden]
         for state, g in zip(initial, (gh, gc)):
-            if state.requires_grad and g is not None:
+            if state.requires_grad:
                 state.accumulate_grad(np.concatenate(list(g), axis=-1),
                                       owned=True)
 
@@ -571,17 +567,13 @@ def dot_attention(states: Tensor, mask: np.ndarray, query: Tensor
     mixed = np.matmul(w[:, :, None, :], states.data[:, None])[:, :, 0]
 
     def bw(mix_out, w_out):
-        gmix = None if mix_out.grad is None \
-            else mix_out.grad.reshape(mixed.shape)
-        gw = np.zeros_like(w) if gmix is None \
-            else np.matmul(gmix, states.data.swapaxes(-1, -2))
-        if w_out.grad is not None:
-            gw = gw + w_out.grad.reshape(w.shape)
+        gmix = mix_out.grad.reshape(mixed.shape)
+        gw = np.matmul(gmix, states.data.swapaxes(-1, -2))
+        gw += w_out.grad.reshape(w.shape)
         gscores = w * (gw - (gw * w).sum(axis=-1, keepdims=True))
         if states.requires_grad:
             gstates = np.matmul(gscores.swapaxes(-1, -2), queries)
-            if gmix is not None:
-                gstates += np.matmul(w.swapaxes(-1, -2), gmix)
+            gstates += np.matmul(w.swapaxes(-1, -2), gmix)
             states.accumulate_grad(gstates, owned=True)
         if query.requires_grad:
             gq = np.matmul(gscores, states.data)
@@ -600,8 +592,9 @@ class AdaGrad:
     """AdaGrad with per-parameter accumulated squared gradients."""
 
     def __init__(self, params: Sequence[Tensor], lr: float):
-        if lr <= 0:
-            raise ValueError("learning rate must be positive")
+        if not 0 < lr < math.inf:
+            raise ValueError(f"learning rate must be positive and finite, "
+                             f"got {lr}")
         self.params = list(params)
         self.lr = lr
         self.accum = [np.zeros_like(p.data) for p in self.params]

@@ -50,11 +50,11 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_docs < 1:
             raise ValueError(f"batch_docs must be >= 1, got {self.batch_docs}")
-        if self.grad_clip <= 0:
+        if not self.grad_clip > 0:      # inf turns clipping off, NaN fails
             raise ValueError("grad_clip must be positive, got "
                              f"{self.grad_clip}")
 

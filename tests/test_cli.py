@@ -242,13 +242,15 @@ class TestTraining:
 
     @pytest.mark.parametrize("flag,value,setting", [
         ("--batch-docs", "-2", "batch_docs"),
-        ("--grad-clip", "0", "grad_clip")])
+        ("--grad-clip", "0", "grad_clip"), ("--grad-clip", "nan", "grad_clip"),
+        ("--lr", "nan", "lr"), ("--lr", "inf", "lr")])
     def test_non_positive_setting_rejected_before_training(
             self, pipeline, tmp_path, flag, value, setting):
-        # -2 documents per batch would write an untrained checkpoint, and
-        # a clip norm of 0 would turn clipping off
+        # -2 documents per batch would write an untrained checkpoint, a
+        # clip norm of 0 or NaN would turn clipping off, and a NaN or
+        # infinite learning rate would write NaN into the parameters
         _, _, _, _, common = pipeline
-        with pytest.raises(ValueError, match=setting):
+        with pytest.raises(ValueError, match=rf"^{setting} .*got {value}"):
             cli.run(["train-baseline", *common, flag, value, "--epochs", "1",
                      "--out", str(tmp_path / "base")])
         assert not (tmp_path / "base.bin").exists()

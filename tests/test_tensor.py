@@ -1,3 +1,4 @@
+import functools
 import re
 import weakref
 
@@ -129,11 +130,15 @@ class TestLstmScan:
            hidden=st.integers(1, 64),
            directions=st.sampled_from([1, 2]),
            start=st.booleans(),
+           reads=st.sets(st.sampled_from([0, 1, 2]), min_size=1),
            seed=st.integers(0, 2**32 - 1))
     def test_equals_cell_chain_bit_for_bit(self, layer, batch, steps, width,
-                                           hidden, directions, start, seed):
+                                           hidden, directions, start, reads,
+                                           seed):
         # a one-direction layer may start from tracked random (h, c);
-        # lstm_cell is one such layer over one unmasked position
+        # lstm_cell is one such layer over one unmasked position.  The
+        # loss reads the subset `reads` of (states, h, c): training reads
+        # a decoder's states and never its finals
         if layer is one_step:
             steps, directions, start = 1, 1, True
         start = start and directions == 1
@@ -162,10 +167,8 @@ class TestLstmScan:
             initial = tuple(T.Tensor(a.copy(), requires_grad=True)
                             for a in initial_data) or None
             outs = layer(x, mask, cells, initial)
-            loss = reduce_sum(T.mul(outs[0], probes[0]))
-            for out, probe in zip(outs[1:], probes[1:]):
-                loss = T.add(loss, reduce_sum(T.mul(out, probe)))
-            T.backward(loss)
+            T.backward(functools.reduce(T.add, [
+                reduce_sum(T.mul(outs[k], probes[k])) for k in sorted(reads)]))
             return [out.data for out in outs] + [x.grad] + [
                 p.grad for cell in cells for p in cell] + [
                 s.grad for s in initial or ()]
@@ -173,8 +176,9 @@ class TestLstmScan:
         got, want = run(layer), run(cell_chain)
         assert len(got) == len(want) == 4 + 3 * directions + 2 * start
         for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            np.testing.assert_array_equal(g, w)
+            # bit patterns: assert_array_equal would take -0.0 for 0.0
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("x_shape,mask_shape,cell_shapes,named", [
         ((2, 3, 4), (2, 3), [((5, 8), (2, 8), (8,))], "w_x (5, 8)"),
@@ -221,6 +225,39 @@ class TestDotAttention:
             np.testing.assert_array_equal(mixed.data[:, t], mixed_t.data)
             np.testing.assert_array_equal(weights.data[:, t], weights_t.data)
 
+    @settings(max_examples=40, deadline=None)
+    @given(batch=st.sampled_from([2, 3, 16]), steps=st.integers(1, 9),
+           queries=st.sampled_from([None, 1, 2, 5, 9]),
+           hidden=st.integers(1, 64), unread=st.sampled_from([0, 1]),
+           dtype=st.sampled_from([np.float32, np.float64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_unread_output_equals_zero_probe_bit_for_bit(
+            self, batch, steps, queries, hidden, unread, dtype, seed):
+        # training never reads the weights: leaving an output unread
+        # gives the input gradients, bit for bit, of reading it with an
+        # all-zero probe; row 0 is fully masked
+        rng = np.random.default_rng(seed)
+        states_data = rng.normal(size=(batch, steps, hidden)).astype(dtype)
+        query_data = rng.normal(size=(batch, hidden) if queries is None
+                                else (batch, queries, hidden)).astype(dtype)
+        mask = (rng.random((batch, steps)) < 0.7).astype(np.float32)
+        mask[:, 0], mask[0] = 1.0, 0.0
+        probes = [rng.normal(size=shape).astype(dtype) for shape in
+                  (query_data.shape, query_data.shape[:-1] + (steps,))]
+        probes[unread][...] = 0.0
+
+        def grads(zero_probe):
+            states = T.Tensor(states_data.copy(), requires_grad=True)
+            query = T.Tensor(query_data.copy(), requires_grad=True)
+            outs = T.dot_attention(states, mask, query)
+            read = [0, 1] if zero_probe else [1 - unread]
+            T.backward(functools.reduce(T.add, [
+                reduce_sum(T.mul(outs[k], probes[k])) for k in read]))
+            return states.grad, query.grad
+
+        for got, want in zip(grads(False), grads(True)):
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
 
     def test_fully_masked_row_reads_zero(self):
         # a document's first sentence has a fully masked context row: it
@@ -301,7 +338,8 @@ class TestBackward:
 
     def test_consumed_records_are_freed_before_earlier_ones_run(self):
         # the outputs of records that already ran, and what those records
-        # held, are gone by the time the first record runs
+        # held, are gone by the time the first record runs; a tensor
+        # holds its data, so freed data means a freed tensor
         x = T.Tensor(np.ones(3), requires_grad=True)
         seen = []
 
@@ -312,7 +350,7 @@ class TestBackward:
         y = T._make((x,), first, x.data.copy())
         z = T.tanh(y)
         w = T.tanh(z)
-        refs = [weakref.ref(z), weakref.ref(w)]
+        refs = [weakref.ref(z.data), weakref.ref(w.data)]
         loss = reduce_sum(w)
         del z, w
         T.backward(loss)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -40,10 +42,12 @@ class TestTrainConfig:
 
     @pytest.mark.parametrize("setting,value", [
         ("batch_docs", 0), ("batch_docs", -2),
-        ("grad_clip", 0.0), ("grad_clip", -1.0)])
+        ("grad_clip", 0.0), ("grad_clip", -1.0), ("grad_clip", math.nan),
+        ("lr", math.nan), ("lr", math.inf)])
     def test_non_positive_batch_and_clip_rejected(self, setting, value):
         # -2 documents per batch would train nothing, and a clip norm <= 0
-        # would turn clipping off, both silently
+        # or NaN would turn clipping off, all silently; a NaN or infinite
+        # learning rate writes NaN into the parameters at the first step
         with pytest.raises(ValueError, match=rf"{setting} .*got {value}"):
             TR.TrainConfig(**{setting: value})
 
