@@ -87,7 +87,7 @@ def learn_bpe(sentences: Iterable[Sequence[str]], num_merges: int) -> BpeModel:
     ones skipped when popped, yields the next best pair.
     """
     if num_merges < 0:
-        raise ValueError("num_merges must be >= 0")
+        raise ValueError(f"num_merges must be >= 0, got {num_merges}")
     word_freq: Counter[str] = Counter()
     for sent in sentences:
         word_freq.update(sent)

@@ -260,6 +260,8 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    if args.beam < 1:
+        raise ValueError(f"--beam must be >= 1, got {args.beam}")
     model = load_checkpoint(args.ckpt)
     src_vocab, trg_vocab = _load_vocabs(args)
     if args.gold_context:

@@ -147,21 +147,19 @@ def _translate_group(model, docs: Sequence[C.Document], src_vocab, trg_vocab,
             if gold_context and "dec" in reads else None)
         for i in range(index.max() + 1):
             r = np.flatnonzero(index == i)
-            context = model.context_states(
-                model._predecessors(left, rows.prev[r]) if i else None)
+            context = model.context_states(left, rows.prev[r]) if i else []
             for name in reads if i else ():
                 stats.count(name, gold_context, len(r))
             hyps, states = _beam_search(model, enc.take(r), context,
                                         beam_size, keep_states)
-            # free decoding: index i + 1 reads what index i emitted
             out, kept = [[]] * len(index), [states[0][:0]] * len(index)
             for row, hyp, st in zip(r.tolist(), hyps, states):
                 emitted[row] = out[row] = hyp
                 kept[row] = st
-            if "trg" in reads and not gold_context:
-                left = left._replace(trg=C.pad_rows(out))
-            if keep_states:
-                left = left._replace(dec=C.pad_rows(kept))
+            if not gold_context:  # index i + 1 reads what index i emitted
+                left = left._replace(
+                    trg=C.pad_rows(out),
+                    dec=C.pad_rows(kept) if keep_states else None)
     ends = np.cumsum([len(doc) for doc in docs]).tolist()
     return [[trg_vocab.decode(hyp) for hyp in emitted[end - len(doc):end]]
             for doc, end in zip(docs, ends)]
@@ -189,7 +187,7 @@ def translate_corpus(model: TranslationModel, docs: Sequence[C.Document],
                      ) -> tuple[list[list[list[str]]], TranslationStats]:
     """Translate documents in order; returns subword-token hypotheses."""
     if beam_size < 1:
-        raise ValueError("beam_size must be >= 1")
+        raise ValueError(f"beam_size must be >= 1, got {beam_size}")
     if batch_docs < 1:
         raise ValueError(f"batch_docs must be >= 1, got {batch_docs}")
     check_vocabularies(model, src_vocab, trg_vocab)

@@ -235,29 +235,37 @@ class TranslationModel:
         states, finals = self._stack("enc", "src_emb", src_ids, src_mask, rng)
         return EncoderStates(states=states, mask=src_mask, finals=finals)
 
-    def context_states(self, prev: Optional[Previous] = None,
+    def context_states(self, left: Optional[Previous] = None,
+                       prev: Optional[np.ndarray] = None,
                        rng: Optional[np.random.Generator] = None
                        ) -> list[tuple[T.Tensor, np.ndarray]]:
         """The (states, mask) pairs context attention reads, one per field
-        of `prev` this variant's `CONTEXTS` names; none for a document's
-        first sentence (`prev` None).
+        of `left` this variant's `CONTEXTS` names: row r reads row
+        `prev[r]` of it, fully masked where `prev[r]` is -1; none for a
+        document's first sentence (`left` None).
 
-        Shared variants read constant copies of the saved states, so no
-        gradient crosses the sentence boundary.
+        The gather copies, so shared variants read constant copies of the
+        saved states and no gradient crosses the sentence boundary.
         """
-        if prev is None:
+        if left is None:
             return []
+        reads = CONTEXTS[self.cfg.variant]
+        if reads and prev is None:
+            raise ValueError(f"{self.cfg.variant} needs a context, or rows "
+                             "that name their previous sentences")
         context = []
-        for name in CONTEXTS[self.cfg.variant]:
-            if getattr(prev, name) is None:
+        for name in reads:
+            if getattr(left, name) is None:
                 raise ValueError(f"{self.cfg.variant} reads the previous "
                                  f"sentence's {name}, which was not given")
-            values, mask = getattr(prev, name)
+            values, mask = getattr(left, name)
+            values, mask = values[prev], mask[prev]  # fresh arrays
+            mask[prev < 0] = 0.0
             if name in ("src", "trg"):
                 states, _ = self._stack("ctx", f"{name}_emb", values, mask, rng)
-                context.append((states, mask))
             else:
-                context.append((T.Tensor(values.copy()), mask))
+                states = T.Tensor(values)
+            context.append((states, mask))
         return context
 
     # -- decoder ----------------------------------------------------------
@@ -317,22 +325,6 @@ class TranslationModel:
             trg=(rows.trg, rows.trg_mask),
             dec=None if states is None else (states.data[:, 1:], rows.trg_mask))
 
-    def _predecessors(self, left: Previous, prev: np.ndarray) -> Previous:
-        """What each row's previous sentence left: row `prev[r]` of `left`,
-        fully masked where `prev[r]` is -1; only the fields this variant
-        reads."""
-        reads = CONTEXTS[self.cfg.variant]
-        if reads and prev is None:
-            raise ValueError(f"{self.cfg.variant} needs a context, or rows "
-                             "that name their previous sentences")
-        fields = {}
-        for name in reads:
-            values, mask = getattr(left, name)
-            mask = mask[prev]
-            mask[prev < 0] = 0.0
-            fields[name] = (values[prev], mask)
-        return Previous(**fields)
-
     def forward_loss(self, rows, context=None,
                      rng: Optional[np.random.Generator] = None
                      ) -> tuple[T.Tensor, EncoderStates, Previous, float]:
@@ -354,8 +346,7 @@ class TranslationModel:
         states = self._decoder(rows.trg_in, self.init_carry(enc), rng)
         left = self.leaves(rows, enc, states)
         if context is None:
-            context = self.context_states(
-                self._predecessors(left, rows.prev), rng)
+            context = self.context_states(left, rows.prev, rng)
         h_tilde, _, _ = self._readout(states, enc, context, counted)
         loss = T.cross_entropy(h_tilde, self.params["out_proj"],
                                rows.trg_out.reshape(-1)[counted])

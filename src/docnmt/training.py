@@ -49,7 +49,7 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not 0 < self.lr < math.inf:
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
         if self.batch_docs < 1:

@@ -73,4 +73,5 @@ def position_cache(model, batch, pos_idx):
         _, _, prev, _ = model.forward_loss(
             batch.positions[pos_idx - 1],
             position_cache(model, batch, pos_idx - 1))
-    return model.context_states(prev)
+    return model.context_states(
+        prev, np.arange(len(batch.positions[pos_idx].src)))

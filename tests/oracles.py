@@ -236,8 +236,8 @@ def position_walk(model, docs, src_vocab, trg_vocab):
     model.zero_grad()
     prev, total, tokens = None, 0.0, 0.0
     for pos in C.build_batch(docs, src_vocab, trg_vocab).positions:
-        loss, _, prev, ntok = model.forward_loss(pos,
-                                                 model.context_states(prev))
+        loss, _, prev, ntok = model.forward_loss(
+            pos, model.context_states(prev, np.arange(len(pos.src))))
         T.backward(T.mul(loss, ntok), params=model.param_list())
         total += float(loss.data) * ntok
         tokens += ntok
@@ -276,7 +276,7 @@ def greedy_reference(model, doc, src_vocab, trg_vocab, gold_context=False):
         limit = math.ceil(MAX_RATIO * len(src))
         with T.no_grad():
             enc = model.encode(src_ids, src_mask)
-            context = model.context_states(prev)
+            context = model.context_states(prev, np.arange(1))
             carry = model.init_carry(enc)
             y, out, states = B.BOS, [], []
             while True:
@@ -343,7 +343,7 @@ def beam_reference(model, doc, src_vocab, trg_vocab, beam_size):
         limit = math.ceil(MAX_RATIO * len(src))
         with T.no_grad():
             enc = model.encode(src_ids, src_mask)
-            context = model.context_states(prev)
+            context = model.context_states(prev, np.arange(1))
             beams, done = [([], 0.0, model.init_carry(enc), [])], []
             while beams and len(done) < beam_size:
                 ranked = []

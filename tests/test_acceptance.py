@@ -154,7 +154,8 @@ class TestCriterion1GradientOracle:
                                   trg=(first.trg, first.trg_mask))
 
                 def loss_tensor(model=model, tokens=tokens, pos=pos):
-                    cache = model.context_states(tokens)
+                    cache = model.context_states(
+                        tokens, np.arange(len(first.src)))
                     return model.forward_loss(pos, cache)[0]
             else:
                 cache = position_cache(model, batch, 1)
@@ -267,7 +268,8 @@ class TestCriterion4ZeroContextEquivalences:
             _, _, prev, _ = models["shared-mix"].forward_loss(pos0, [])
         query = T.Tensor(np.random.default_rng(3).normal(
             size=(pos0.src.shape[0], 8)).astype(np.float32))
-        ctx = {v: context_attention(query, models[v].context_states(prev))[0]
+        ctx = {v: context_attention(query, models[v].context_states(
+                   prev, np.arange(len(pos0.src))))[0]
                for v in ("shared-mix", "shared-source", "shared-target")}
         summed = T.add(ctx["shared-source"], ctx["shared-target"])
         ok_b = ctx["shared-mix"].data.tobytes() == summed.data.tobytes()

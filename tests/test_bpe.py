@@ -21,6 +21,11 @@ class TestLearnBpe:
         assert model.merges == []
         assert B.apply_bpe(["ab"], model) == ["a@@", "b"]
 
+    def test_negative_merges_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"^num_merges must be >= 0, got -1$"):
+            B.learn_bpe([["ab"]], -1)
+
     def test_most_frequent_pair_first(self):
         model = B.learn_bpe([["aaab"]] * 5, 1)
         assert model.merges == [("a", "a")]

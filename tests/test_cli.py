@@ -376,6 +376,20 @@ class TestTranslateEvaluateCompare:
                      "--out", str(tmp_path / "empty.hyp")])
         assert not (tmp_path / "empty.hyp").exists()
 
+    @pytest.mark.parametrize("beam", ["0", "-1"])
+    def test_non_positive_beam_rejected_before_loading(self, pipeline,
+                                                       tmp_path, beam):
+        # the checkpoint does not exist: the flag is checked first
+        _, _, prep, _, _ = pipeline
+        with pytest.raises(ValueError, match=rf"^--beam must be >= 1, "
+                                             rf"got {beam}$"):
+            cli.run(["translate", "--ckpt", str(tmp_path / "missing"),
+                     "--src", str(prep / "syn.test.src"),
+                     "--src-vocab", str(prep / "syn.vocab.src"),
+                     "--trg-vocab", str(prep / "syn.vocab.trg"),
+                     "--beam", beam, "--out", str(tmp_path / "beam.hyp")])
+        assert not (tmp_path / "beam.hyp").exists()
+
     def test_gold_context_translation(self, pipeline, capsys):
         root, _, prep, models, _ = pipeline
         run_ok(["translate", "--ckpt", str(models / "st.s1"),

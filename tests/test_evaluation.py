@@ -247,13 +247,15 @@ class TestTranslate:
         for sent, (src, _) in zip(hyp, doc.pairs):
             assert len(sent) <= math.ceil(E.MAX_RATIO * len(src))
 
-    def test_beam_size_zero_rejected(self, task):
+    @pytest.mark.parametrize("beam_size", [0, -1])
+    def test_beam_size_zero_rejected(self, task, beam_size):
         _, seg, _, src_v, trg_v = task
         model = TranslationModel(
             ModelConfig("baseline", 12, 12, len(src_v), len(trg_v)),
             rng=T.make_rng(11, 0))
-        with pytest.raises(ValueError):
-            E.translate_corpus(model, seg, src_v, trg_v, beam_size=0)
+        with pytest.raises(ValueError, match=rf"^beam_size must be >= 1, "
+                                             rf"got {beam_size}$"):
+            E.translate_corpus(model, seg, src_v, trg_v, beam_size=beam_size)
 
     @pytest.mark.parametrize("batch_docs", [0, -1])
     def test_non_positive_batch_docs_rejected(self, task, batch_docs):

@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 from docnmt import bpe as B
 from docnmt import corpus as C
 from docnmt import tensor as T
-from docnmt.model import (ModelConfig, Previous, TranslationModel, VARIANTS,
-                          context_attention, load_checkpoint, param_count,
-                          parameter_shapes, save_checkpoint)
+from docnmt.model import (CONTEXTS, ModelConfig, Previous, TranslationModel,
+                          VARIANTS, context_attention, load_checkpoint,
+                          param_count, parameter_shapes, save_checkpoint)
 
 from model_helpers import position_cache, tiny_task, variant_family
 from oracles import (decoder_loss_reference, finite_difference_grads,
@@ -205,20 +205,37 @@ class TestContextStates:
         with T.no_grad():
             enc = model.encode(pos.src, pos.src_mask)
         [(states, mask)] = model.context_states(
-            Previous(enc=(enc.states.data, enc.mask)))
+            Previous(enc=(enc.states.data, enc.mask)),
+            np.arange(len(pos.src)))
         np.testing.assert_array_equal(states.data, enc.states.data)
         assert not states.requires_grad
 
-    def test_cache_detached_and_copied(self, task):
+    @pytest.mark.parametrize("variant", [v for v in VARIANTS
+                                         if v != "baseline"])
+    def test_cache_detached_and_copied(self, task, variant):
+        # the gather masks rows that name no previous sentence on a copy,
+        # and nothing returned aliases, or is later changed through, `left`
         _, batch, src_v, trg_v = task
-        model = make_model("shared-target", src_v, trg_v)
+        model = make_model(variant, src_v, trg_v)
         pos = batch.positions[0]
         with T.no_grad():
-            _, _, prev, _ = model.forward_loss(pos, model.context_states())
-        [(states, _)] = model.context_states(prev)
-        before = states.data.copy()
-        prev.dec[0][:] = 123.0  # later mutation must not reach the copy
-        np.testing.assert_array_equal(states.data, before)
+            _, _, left, _ = model.forward_loss(pos, model.context_states())
+        given = [a for field in left for a in field]
+        before = [a.copy() for a in given]
+        prev = np.arange(len(pos.src)) - 1  # row 0 is a first sentence
+        context = model.context_states(left, prev)
+        assert len(context) == len(CONTEXTS[variant])
+        for a, b in zip(given, before):
+            np.testing.assert_array_equal(a, b)
+        returned = [a for states, mask in context for a in (states.data, mask)]
+        for _, mask in context:
+            assert (mask[0] == 0).all() and (mask[1:].sum(axis=1) > 0).all()
+        assert not any(np.shares_memory(a, b) for a in returned for b in given)
+        kept = [a.copy() for a in returned]
+        for a in given:
+            a[...] = 7  # later mutation must not reach the context
+        for a, b in zip(returned, kept):
+            np.testing.assert_array_equal(a, b)
 
     def test_zeroed_context_encoder_contributes_zero(self, task):
         _, batch, src_v, trg_v = task
@@ -227,7 +244,8 @@ class TestContextStates:
             if name.startswith("ctx_"):
                 p.data[:] = 0.0
         pos = batch.positions[0]
-        context = model.context_states(Previous(src=(pos.src, pos.src_mask)))
+        context = model.context_states(Previous(src=(pos.src, pos.src_mask)),
+                                       np.arange(len(pos.src)))
         [(states, _)] = context
         assert (states.data == 0).all()
         ctx, _ = context_attention(T.Tensor(np.ones((4, 8), dtype=np.float32)),
@@ -241,7 +259,8 @@ class TestContextStates:
         with pytest.raises(ValueError, match="shared-target reads the "
                                              "previous sentence's dec"):
             model.context_states(Previous(src=(pos.src, pos.src_mask),
-                                          trg=(pos.trg, pos.trg_mask)))
+                                          trg=(pos.trg, pos.trg_mask)),
+                                 np.arange(len(pos.src)))
 
 
 class TestContextAttention:
@@ -266,7 +285,8 @@ class TestContextAttention:
                 batch.positions[0], [])
         h = T.Tensor(np.random.default_rng(2).normal(
             size=(batch.positions[0].src.shape[0], 8)).astype(np.float32))
-        ctx = {v: context_attention(h, models[v].context_states(prev))[0]
+        ctx = {v: context_attention(h, models[v].context_states(
+                   prev, np.arange(len(batch.positions[0].src))))[0]
                for v in ("shared-mix", "shared-source", "shared-target")}
         summed = T.add(ctx["shared-source"], ctx["shared-target"])
         assert ctx["shared-mix"].data.tobytes() == summed.data.tobytes()
@@ -410,7 +430,8 @@ class TestForwardLoss:
             with T.no_grad():
                 for pos in C.build_batch(docs, src_v, trg_v).positions:
                     loss, _, prev, ntok = model.forward_loss(
-                        pos, model.context_states(prev))
+                        pos, model.context_states(prev,
+                                                  np.arange(len(pos.src))))
                     total += float(loss.data) * ntok
             return total
 
@@ -467,8 +488,10 @@ class TestGradientFlowBoundary:
             loss1, _, prev, n1 = model.forward_loss(
                 batch.positions[0], model.context_states())
             T.backward(T.mul(loss1, n1))
-            loss2, _, _, n2 = model.forward_loss(batch.positions[1],
-                                                 model.context_states(prev))
+            loss2, _, _, n2 = model.forward_loss(
+                batch.positions[1],
+                model.context_states(prev,
+                                     np.arange(len(batch.positions[0].src))))
             T.backward(T.mul(loss2, n2))
             return {n: p.grad.copy() for n, p in model.params.items()}
 
@@ -486,7 +509,7 @@ class TestGradientFlowBoundary:
         model = make_model("shared-mix", src_v, trg_v)
         first, second = batch.positions[0], batch.positions[1]
         _, enc, prev, _ = model.forward_loss(first, [])
-        context = model.context_states(prev)
+        context = model.context_states(prev, np.arange(len(first.src)))
         assert len(context) == 2
         for states, _ in context:
             assert not states.requires_grad
@@ -512,7 +535,8 @@ class TestGradients:
                               trg=(first.trg, first.trg_mask))
 
             def loss_tensor():
-                fresh = model.context_states(tokens)
+                fresh = model.context_states(tokens,
+                                             np.arange(len(first.src)))
                 return model.forward_loss(pos, fresh)[0]
         else:
             def loss_tensor():
@@ -549,7 +573,8 @@ class TestDecoderOracle:
         def run(forward):
             rng = T.make_rng(17, 2)
             model.zero_grad()
-            loss, dec = forward(pos, model.context_states(prev, rng), rng)
+            loss, dec = forward(pos, model.context_states(
+                prev, np.arange(len(pos.src)), rng), rng)
             T.backward(loss, params=model.param_list())
             return [loss.data, dec] + [p.grad.copy()
                                        for p in model.param_list()]

@@ -41,7 +41,7 @@ class TestTrainConfig:
             TR.TrainConfig(lr=0.0)
 
     @pytest.mark.parametrize("setting,value", [
-        ("batch_docs", 0), ("batch_docs", -2),
+        ("epochs", 0), ("batch_docs", 0), ("batch_docs", -2),
         ("grad_clip", 0.0), ("grad_clip", -1.0), ("grad_clip", math.nan),
         ("lr", math.nan), ("lr", math.inf)])
     def test_non_positive_batch_and_clip_rejected(self, setting, value):
