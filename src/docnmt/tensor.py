@@ -13,6 +13,14 @@ layer with its cross-entropy) are single fused records with hand-written
 backward passes; everything else is composed from small elementwise and
 linear-algebra ops.
 
+One worker thread, started on first use, runs the big products that no
+later step waits for: a scan's input projections and weight gradients,
+and the weight gradients of `cross_entropy` and `matmul`.  It makes the
+same BLAS calls as the inline path, in the order it is given them, and
+writes only into arrays the calling thread allocated; each record waits
+for its jobs before it returns, so results are bit for bit the inline
+path's.  Products of at most `WORKER_MIN_MACS` multiply-adds run inline.
+
 Training runs in float32 by default; gradient checks construct their
 tensors as float64 and everything downstream inherits the dtype.
 """
@@ -92,7 +100,7 @@ class Tensor:
 
 
 # (output tensors, backward function taking those outputs), in forward order.
-# The tape and the tensors on it belong to one worker at a time.
+# The tape and the tensors on it belong to one thread at a time.
 _tape: list[tuple[tuple[Tensor, ...], Callable[..., None]]] = []
 
 
@@ -132,6 +140,61 @@ def backward(loss: Tensor, params: Optional[Iterable[Tensor]] = None) -> None:
 
 # ---------------------------------------------------------------------------
 # op plumbing
+
+# Products of more multiply-adds than this go to the worker thread.  A
+# hand-off costs 25-37 us, what a product of about 1M multiply-adds takes
+# on one core; above 4M it is under a quarter of the product, and desk
+# products (0.2M to 1.3M) stay inline.  See README, "The worker thread".
+WORKER_MIN_MACS = 4_000_000
+_worker = None      # a one-thread ThreadPoolExecutor, once started
+
+
+def _worker_for(macs: int):
+    """The worker, started on first use, if a product of `macs`
+    multiply-adds goes to it; None if it runs inline."""
+    global _worker
+    if macs <= WORKER_MIN_MACS:
+        return None
+    if _worker is None:
+        # imported here: the import alone added 2 MB to desk-trg's
+        # peak_rss_mb, where every product stays inline
+        from concurrent.futures import ThreadPoolExecutor
+        _worker = ThreadPoolExecutor(1, "docnmt-tensor")
+    return _worker
+
+
+@contextlib.contextmanager
+def _jobs():
+    """Collects a record's worker jobs (futures); the block ends only when
+    all of them have, and re-raises the first job error."""
+    jobs: list = []
+    try:
+        yield jobs
+        for job in jobs:
+            job.result()
+    finally:
+        if jobs:
+            from concurrent.futures import wait
+            wait(jobs)
+
+
+def _add_product(p: Tensor, a: np.ndarray, b: np.ndarray,
+                 jobs: list) -> bool:
+    """Queue `p.accumulate_grad(a @ b, owned=True)`, for 2-D a and b, on
+    the worker as one of `jobs` if the product is big enough; False if it
+    was not queued.  The worker writes into arrays allocated here."""
+    worker = _worker_for(a.shape[0] * a.shape[1] * b.shape[1])
+    if worker is None:
+        return False
+    out = np.empty(p.shape, dtype=p.dtype)
+    if p.grad is None:
+        p.grad = out
+        jobs.append(worker.submit(np.matmul, a, b, out=out))
+    else:
+        jobs.append(worker.submit(
+            lambda grad: np.add(grad, np.matmul(a, b, out=out), out=grad),
+            p.grad))
+    return True
 
 
 def _wrap(x, like: Tensor) -> Tensor:
@@ -199,12 +262,16 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def bw(out):
         g = out.grad
-        if a.requires_grad:
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a.accumulate_grad(_unbroadcast(ga, a.shape), owned=True)
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b.accumulate_grad(_unbroadcast(gb, b.shape), owned=True)
+        with _jobs() as jobs:
+            # the worker may take a 2-D b's gradient, unless it is also a's
+            queued = b.requires_grad and a.ndim == b.ndim == 2 \
+                and a is not b and _add_product(b, a.data.T, g, jobs)
+            if a.requires_grad:
+                ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
+                a.accumulate_grad(_unbroadcast(ga, a.shape), owned=True)
+            if b.requires_grad and not queued:
+                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+                b.accumulate_grad(_unbroadcast(gb, b.shape), owned=True)
 
     return _make((a, b), bw, np.matmul(a.data, b.data))
 
@@ -323,10 +390,13 @@ def cross_entropy(x: Tensor, w: Tensor, targets: np.ndarray) -> Tensor:
     def bw(out):
         probs[rows, targets] -= 1.0
         np.multiply(probs, out.grad / n, out=probs)
-        if x.requires_grad:
-            x.accumulate_grad(np.matmul(probs, w.data.T), owned=True)
-        if w.requires_grad:
-            w.accumulate_grad(np.matmul(x.data.T, probs), owned=True)
+        with _jobs() as jobs:
+            queued = w.requires_grad and w is not x \
+                and _add_product(w, x.data.T, probs, jobs)
+            if x.requires_grad:
+                x.accumulate_grad(np.matmul(probs, w.data.T), owned=True)
+            if w.requires_grad and not queued:
+                w.accumulate_grad(np.matmul(x.data.T, probs), owned=True)
 
     return _make((x, w), bw, value)
 
@@ -342,16 +412,17 @@ def _gates(z: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray,
 
     `mask` (..., 1) carries the previous state through padded rows, and
     `keep` is 1 - mask.  Returns the new h and c and the activated gates
-    (..., 4H), tanh(g) in the g block: with the cell states, all that
-    `_gates_backward` needs.
+    (..., 4H), tanh(g) in the g block, written over z: with the cell
+    states, all that `_gates_backward` needs.
     """
     hidden = z.shape[-1] // 4
-    gates = 0.5 * z
+    g = np.tanh(z[..., 2 * hidden:3 * hidden])
+    gates = z
+    gates *= 0.5
     np.tanh(gates, out=gates)
     gates += 1.0
     gates *= 0.5
-    g = gates[..., 2 * hidden:3 * hidden]
-    np.tanh(z[..., 2 * hidden:3 * hidden], out=g)
+    gates[..., 2 * hidden:3 * hidden] = g
     c_new = gates[..., hidden:2 * hidden] * c_prev
     c_new += gates[..., :hidden] * g
     h_new = gates[..., 3 * hidden:] * np.tanh(c_new)
@@ -388,6 +459,24 @@ def _gates_backward(gh: np.ndarray, gc: np.ndarray, c_prev: np.ndarray,
     gz *= 1.0 - gates
     np.multiply(g_block, 1.0 - g * g, out=gz[..., 2 * hidden:3 * hidden])
     return gz, gc_total
+
+
+def _cell_grads(cells, x: np.ndarray, h_prev: np.ndarray, gz: np.ndarray,
+                sums=(None, None, None), new=()) -> None:
+    """Add one scan step's weight gradients, x^T gz, h_prev^T gz and gz
+    summed over the batch, stacked by direction, into each direction's
+    cell.  The products go into `sums` if given, and each overwrites the
+    gradient of a parameter it takes out of `new`."""
+    grads = (np.matmul(x.swapaxes(-1, -2), gz, out=sums[0]),
+             np.matmul(h_prev.swapaxes(-1, -2), gz, out=sums[1]),
+             np.add.reduce(gz, axis=1, out=sums[2]))
+    for d, cell in enumerate(cells):
+        for p, gp in zip(cell, grads):
+            if p in new:
+                new.remove(p)
+                p.grad[...] = gp[d]
+            elif p.requires_grad:
+                p.accumulate_grad(gp[d], owned=True)
 
 
 def lstm_cell(x: Tensor, h_prev: Tensor, c_prev: Tensor,
@@ -427,11 +516,14 @@ def lstm_scan(x: Tensor, mask: np.ndarray,
     stacking the outputs, concatenating the directions), and the
     backward pass sums every gradient, those of `initial` included, in
     that chain's order, so states, finals and gradients are bit for bit
-    the chain's, at every shape.  Hoisting a product out of the loop
-    would not be: with OpenBLAS, one GEMM over all B*M rows differs from
-    the per-step products for a batch of one row (which takes gemv) and
-    at some widths, and so does one input gradient GEMM over all steps,
-    whose operand is transposed.
+    the chain's, at every shape.  Merging the steps' products would not
+    be: with OpenBLAS, one GEMM over all B*M rows differs from the
+    per-step products for a batch of one row (which takes gemv) and at
+    some widths, and so does one input gradient GEMM over all steps,
+    whose operand is transposed.  Running the per-step products earlier
+    is: above `WORKER_MIN_MACS`, the worker makes every step's input
+    projection ahead of the recurrence, and each step's weight gradient
+    products and their sums while the next step's recurrence runs.
     """
     if x.ndim != 3 or not 1 <= len(cells) <= 2:
         raise ValueError(f"lstm_scan needs x (B, M, In) and one or two "
@@ -486,13 +578,25 @@ def lstm_scan(x: Tensor, mask: np.ndarray,
     # reading order: step s writes outs[d][:, s]
     outs = [states[:, o, d * hidden:(d + 1) * hidden]
             for d, o in enumerate(order)]
+    macs = batch * width * 4 * hidden * len(cells)
+    worker = _worker_for(macs)
     h, gates = h_first, []
-    for s in range(steps):
-        z = np.matmul(xs[s], w_x) + np.matmul(h, w_h) + bias
-        h, cs[s + 1], gates_s = _gates(z, h, cs[s], ms[s], keeps[s])
-        gates.append(gates_s)
-        for d, out in enumerate(outs):
-            out[:, s] = h[d]
+    with _jobs() as jobs:
+        if worker:
+            # every step's input projection, into zx allocated here
+            zx = np.empty(xs.shape[:-1] + (4 * hidden,),
+                          dtype=np.result_type(xs, w_x))
+            jobs.extend(worker.submit(np.matmul, xs[s], w_x, out=zx[s])
+                        for s in range(steps))
+        for s in range(steps):
+            recurrent = np.matmul(h, w_h)
+            z = jobs[s].result() if worker else np.matmul(xs[s], w_x)
+            z += recurrent
+            z += bias
+            h, cs[s + 1], gates_s = _gates(z, h, cs[s], ms[s], keeps[s])
+            gates.append(gates_s)
+            for d, out in enumerate(outs):
+                out[:, s] = h[d]
     h_last = np.concatenate(list(h), axis=-1)
     c_last = np.concatenate(list(cs[steps]), axis=-1)
 
@@ -509,27 +613,39 @@ def lstm_scan(x: Tensor, mask: np.ndarray,
             x.grad = np.zeros_like(x.data)
         # x's gradient, viewed in each direction's reading order
         x_grads = [x.grad[:, o] for o in order] if x.requires_grad else ()
-        for s in range(steps - 1, -1, -1):
-            gz, gc_total = _gates_backward(gh, gc, cs[s], cs[s + 1], ms[s],
-                                           gates[s])
-            if x.requires_grad:
-                for x_grad, gx in zip(x_grads, np.matmul(gz, w_x_t)):
-                    x_grad[:, s] += gx
-            h_prev = np.stack([out[:, s - 1] for out in outs]) if s \
-                else h_first
-            grads = (np.matmul(xs[s].swapaxes(-1, -2), gz),
-                     np.matmul(h_prev.swapaxes(-1, -2), gz),
-                     gz.sum(axis=1))
-            for d, cell in enumerate(cells):
-                for p, gp in zip(cell, grads):
-                    if p.requires_grad:
-                        p.accumulate_grad(gp[d], owned=True)
-            # (output term + masked carry) + recurrent term, as the chain
-            # of cell records sums them
-            gh = g_out[s] + gh * keeps[s]
-            gh += np.matmul(gz, w_h_t)
-            gc = gc * keeps[s]
-            gc += gc_total * gates[s][..., hidden:2 * hidden]
+        worker = _worker_for(macs) if steps else None
+        sums, new = None, []
+        if worker:
+            # the worker writes the products into sums and adds them into
+            # gradients, all allocated here; the first step's products
+            # overwrite the gradients that were None
+            sums = [np.empty_like(w_x), np.empty_like(w_h),
+                    np.empty_like(bias[:, 0])]
+            new = [p for cell in cells for p in cell
+                   if p.requires_grad and p.grad is None]
+            for p in new:
+                p.grad = np.empty_like(p.data)
+        with _jobs() as jobs:
+            for s in range(steps - 1, -1, -1):
+                gz, gc_total = _gates_backward(gh, gc, cs[s], cs[s + 1],
+                                               ms[s], gates[s])
+                h_prev = np.stack([out[:, s - 1] for out in outs]) if s \
+                    else h_first
+                if worker:
+                    jobs.append(worker.submit(_cell_grads, cells, xs[s],
+                                              h_prev, gz, sums, new))
+                    new = []
+                else:
+                    _cell_grads(cells, xs[s], h_prev, gz)
+                if x.requires_grad:
+                    for x_grad, gx in zip(x_grads, np.matmul(gz, w_x_t)):
+                        x_grad[:, s] += gx
+                # (output term + masked carry) + recurrent term, as the
+                # chain of cell records sums them
+                gh = g_out[s] + gh * keeps[s]
+                gh += np.matmul(gz, w_h_t)
+                gc = gc * keeps[s]
+                gc += gc_total * gates[s][..., hidden:2 * hidden]
         for state, g in zip(initial, (gh, gc)):
             if state.requires_grad:
                 state.accumulate_grad(np.concatenate(list(g), axis=-1),

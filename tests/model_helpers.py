@@ -75,3 +75,18 @@ def position_cache(model, batch, pos_idx):
             position_cache(model, batch, pos_idx - 1))
     return model.context_states(
         prev, np.arange(len(batch.positions[pos_idx].src)))
+
+
+def all_on_worker(monkeypatch):
+    """Set `tensor`'s size rule to 0, which sends every product to the
+    worker thread; returns the list of the sizes handed to it."""
+    monkeypatch.setattr(T, "WORKER_MIN_MACS", 0)
+    handed = []
+    worker_for = T._worker_for
+
+    def spy(macs):
+        handed.append(macs)
+        return worker_for(macs)
+
+    monkeypatch.setattr(T, "_worker_for", spy)
+    return handed

@@ -1,10 +1,14 @@
 """`tools/same_outputs.py` compares what two trees write: trainlogs by
 their loss and dev-BLEU columns, every other file byte for byte.  Only
-`artifacts` is checked here; the pipeline itself takes minutes."""
+`artifacts`, `compare` and the worker switch are checked here; the
+pipeline itself takes minutes."""
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from docnmt import tensor as T
 from docnmt import training as TR
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "same_outputs.py"
@@ -47,3 +51,22 @@ def test_other_files_compared_byte_for_byte(tmp_path):
     assert base["models/base.bin"] == bytes(range(256))
     changed = write_tree(tmp_path / "hyp", hyp=b"a b\tc\n\nd\n")
     assert [k for k in base if base[k] != changed[k]] == ["hyps/base.greedy"]
+
+
+def test_compare_prints_what_differs_and_the_count(tmp_path, capsys):
+    base = write_tree(tmp_path / "base")
+    assert same_outputs.compare("as is", base, dict(base))
+    changed = write_tree(tmp_path / "hyp", hyp=b"x")
+    assert not same_outputs.compare("on the worker", base, changed)
+    assert capsys.readouterr().out.splitlines() == [
+        "as is: 3 of 3 identical",
+        "on the worker: differs: hyps/base.greedy",
+        "on the worker: 2 of 3 identical"]
+
+
+def test_worker_run_fails_loudly_without_the_size_rule(monkeypatch):
+    # the run that sends every product to the worker must not silently
+    # run the inline path when the name it sets is gone
+    monkeypatch.delattr(T, "WORKER_MIN_MACS")
+    with pytest.raises(SystemExit, match="WORKER_MIN_MACS"):
+        same_outputs.pipeline(all_on_worker=True)

@@ -1,6 +1,10 @@
 import functools
 import re
+import sys
+import threading
+import time
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 from docnmt import tensor as T
 
 from minigraphs import FAMILIES, build_minigraph, reduce_sum
+from model_helpers import all_on_worker
 from oracles import (cell_chain, finite_difference_grads, max_relative_error,
                      scalar_lstm_step)
 
@@ -174,11 +179,14 @@ class TestLstmScan:
                 s.grad for s in initial or ()]
 
         got, want = run(layer), run(cell_chain)
+        # the size rule at 0 sends every product to the worker thread
+        with mock.patch.object(T, "WORKER_MIN_MACS", 0):
+            on_worker = run(layer)
         assert len(got) == len(want) == 4 + 3 * directions + 2 * start
-        for g, w in zip(got, want):
+        for g, o, w in zip(got, on_worker, want):
             # bit patterns: assert_array_equal would take -0.0 for 0.0
             assert (g.dtype, g.shape) == (w.dtype, w.shape)
-            assert g.tobytes() == w.tobytes()
+            assert g.tobytes() == o.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("x_shape,mask_shape,cell_shapes,named", [
         ((2, 3, 4), (2, 3), [((5, 8), (2, 8), (8,))], "w_x (5, 8)"),
@@ -313,6 +321,88 @@ class TestBackward:
 
         numeric = finite_difference_grads(loss_value, [p.data for p in params])
         assert max_relative_error(analytic, numeric) < 1e-5
+
+    # every family but masked attention, which has no product the worker
+    # takes
+    @pytest.mark.parametrize("seed", [
+        seed for seed, family in enumerate(FAMILIES)
+        if family.__name__ != "_masked_attention"])
+    def test_minigraph_on_worker_equals_inline_bit_for_bit(self, seed,
+                                                           monkeypatch):
+        def run():
+            params, forward = build_minigraph(seed)
+            loss = forward()
+            T.backward(loss, params=params)
+            return [loss.data.tobytes()] + [p.grad.tobytes() for p in params]
+
+        inline = run()
+        handed = all_on_worker(monkeypatch)
+        assert run() == inline and handed
+
+    def test_worker_adds_into_existing_gradients_bit_for_bit(self,
+                                                             monkeypatch):
+        # w feeds two matmuls and v a cross-entropy and a matmul, so the
+        # second record of each to run adds into a gradient it did not make
+        rng = np.random.default_rng(4)
+        data = [rng.normal(size=shape) for shape in ((5, 4), (4, 4), (4, 3))]
+        targets = rng.integers(0, 3, size=5)
+
+        def run():
+            x, w, v = (T.Tensor(a, requires_grad=True) for a in data)
+            h = T.tanh(T.matmul(T.tanh(T.matmul(x, w)), w))
+            T.backward(T.add(T.cross_entropy(h, v, targets),
+                             reduce_sum(T.matmul(h, v))))
+            return [t.grad.tobytes() for t in (x, w, v)]
+
+        inline = run()
+        handed = all_on_worker(monkeypatch)
+        # a short switch interval lets the threads interleave often, so a
+        # write racing another would show
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                assert run() == inline
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(handed) == 20 * 4
+
+    def test_failing_record_leaves_no_job_behind(self, monkeypatch):
+        # the scan's third backward step fails; the two jobs queued before
+        # it are slow, so a record that did not wait for them would return
+        # before they ran
+        all_on_worker(monkeypatch)
+        steps_run, jobs_done = [], []
+        gates_backward, cell_grads = T._gates_backward, T._cell_grads
+
+        def failing_gates_backward(*args):
+            steps_run.append(len(steps_run))
+            if len(steps_run) == 3:
+                raise RuntimeError("step failed")
+            return gates_backward(*args)
+
+        def slow_cell_grads(*args):
+            time.sleep(0.05)
+            cell_grads(*args)
+            jobs_done.append(threading.current_thread())
+
+        monkeypatch.setattr(T, "_gates_backward", failing_gates_backward)
+        monkeypatch.setattr(T, "_cell_grads", slow_cell_grads)
+        rng = np.random.default_rng(6)
+        x = T.Tensor(rng.normal(size=(2, 4, 3)), requires_grad=True)
+        cell = tuple(T.Tensor(rng.normal(size=shape), requires_grad=True)
+                     for shape in ((3, 8), (2, 8), (8,)))
+        states, _, _ = T.lstm_scan(x, np.ones((2, 4)), [cell])
+        with pytest.raises(RuntimeError, match="step failed"):
+            T.backward(reduce_sum(states))
+        done_at_return = len(jobs_done)
+        assert T.active_graph() == []
+        assert done_at_return == 2
+        assert threading.current_thread() not in jobs_done
+        # the worker runs jobs in order: once this one has run, so has
+        # every job queued before it
+        T._worker.submit(lambda: None).result(timeout=10)
+        assert len(jobs_done) == done_at_return
 
     def test_grad_accumulates_across_reuse(self):
         a = T.Tensor([2.0], requires_grad=True)

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -6,12 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from docnmt import bpe as B
 from docnmt import corpus as C
+from docnmt import evaluation as E
 from docnmt import tensor as T
 from docnmt import training as TR
 from docnmt.model import (ModelConfig, TranslationModel, VARIANTS,
                           load_checkpoint, save_checkpoint)
 
-from model_helpers import tiny_task
+from model_helpers import all_on_worker, tiny_task
 from oracles import position_walk
 
 
@@ -362,3 +364,45 @@ class TestFineTune:
         base, _ = baseline
         with pytest.raises(ValueError):
             TR.init_from_baseline(base, "baseline", T.make_rng(0, 3))
+
+
+class TestWorkerThread:
+    @pytest.mark.parametrize("variant", ["separated-target", "shared-target"])
+    def test_worker_trains_and_decodes_bit_for_bit(self, synth_setup, variant,
+                                                   monkeypatch):
+        # one epoch of two batches, then greedy decoding, inline and with
+        # the size rule at 0, which sends every product to the worker
+        seg, src_v, trg_v = synth_setup
+        cfg = ModelConfig(variant, 8, 8, len(src_v), len(trg_v))
+
+        def run():
+            model = TranslationModel(cfg, rng=T.make_rng(3, 0))
+            model, log = TR.train_model(model, seg, seg, src_v, trg_v,
+                                        TR.TrainConfig(epochs=1, batch_docs=3,
+                                                       lr=0.1, seed=3))
+            hyps, _ = E.translate_corpus(model, seg, src_v, trg_v)
+            return ([r.loss for r in log.records],
+                    [p.data.tobytes() for p in model.param_list()], hyps)
+
+        inline = run()
+        handed = all_on_worker(monkeypatch)
+        assert run() == inline and handed
+
+    def test_desk_sizes_never_start_the_worker(self, monkeypatch):
+        # a training step and greedy decoding at E=H=32 on a desk batch of
+        # 16 documents run every product inline
+        monkeypatch.setattr(T, "_worker", None)
+        threads = threading.active_count()
+        _, seg, _, src_v, trg_v = tiny_task(n_docs=16, merges=200)
+        model = TranslationModel(
+            ModelConfig("separated-target", 32, 32, len(src_v), len(trg_v)),
+            rng=T.make_rng(0, 0))
+        opt = T.AdaGrad(model.param_list(), lr=0.1)
+        [rows] = C.make_batches(seg, src_v, trg_v, max_docs=16,
+                                rng=T.make_rng(0, 1))
+        loss, _, _, _ = model.forward_loss(rows, rng=T.make_rng(0, 2))
+        T.backward(loss)
+        opt.step()
+        E.translate_corpus(model, seg, src_v, trg_v)
+        assert T._worker is None
+        assert threading.active_count() == threads

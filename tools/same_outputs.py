@@ -4,9 +4,13 @@ revision does.
     python tools/same_outputs.py BASE_REV
 
 Extracts BASE_REV's `src/` under `.bench_work/` with `git archive` and
-runs one desk pipeline with each tree's `src/`, each in a fresh process
-with one BLAS thread, from its own output directory and with relative
-paths, so manifests compare too.  The pipeline: trg-informative corpora
+runs one desk pipeline with BASE_REV's `src/` and two with the working
+tree's: as it is, and with every product on docnmt's worker thread
+(`tensor.WORKER_MIN_MACS` set to 0 inside that run, which fails if the
+name is gone), since desk-size products never reach the worker.  Each
+run is a fresh process with one BLAS thread, in its own output
+directory and with relative paths, so manifests compare too.  The
+pipeline: trg-informative corpora
 from synth seeds 11/12/13 (1000/60/120 documents), 200 BPE merges, a
 baseline and every context variant trained for 4 epochs with seed 5,
 then greedy, `--gold-context` and `--beam 5` translations of the test
@@ -15,9 +19,10 @@ set by all six models.
 Every file the pipeline writes is compared byte for byte, the lines each
 `translate` prints (its decode counters) included, except trainlogs,
 whose loss and dev-BLEU columns are compared and whose seconds are not.
-Prints each artifact that differs, then "N of M identical"; exits 1 if
-anything differs.  About a minute per tree on a desk machine; the
-extracted tree and both output directories are removed afterwards.
+For each working-tree run, prints each artifact that differs from
+BASE_REV's, then "N of M identical"; exits 1 if anything differs.  About
+a minute per run on a desk machine; the extracted tree and the output
+directories are removed afterwards.
 """
 
 from __future__ import annotations
@@ -35,10 +40,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def pipeline() -> None:
-    """Run the desk pipeline in the current directory."""
-    from docnmt import cli
+def pipeline(all_on_worker: bool = False) -> None:
+    """Run the desk pipeline in the current directory; `all_on_worker`
+    sends every product to the worker thread."""
+    from docnmt import cli, tensor
     from docnmt.model import VARIANTS
+
+    if all_on_worker:
+        if not hasattr(tensor, "WORKER_MIN_MACS"):
+            raise SystemExit("docnmt.tensor has no WORKER_MIN_MACS: "
+                             "cannot send every product to the worker")
+        tensor.WORKER_MIN_MACS = 0
 
     def run(*argv, printed=None):
         out = io.StringIO()
@@ -94,12 +106,23 @@ def artifacts(out_dir: Path) -> dict[str, bytes]:
     return found
 
 
-def run_tree(src: Path, out_dir: Path) -> dict[str, bytes]:
+def run_tree(src: Path, out_dir: Path, *flags: str) -> dict[str, bytes]:
     out_dir.mkdir(parents=True)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
     subprocess.run([sys.executable, str(Path(__file__).resolve()),
-                    "--pipeline"], cwd=out_dir, env=env, check=True)
+                    "--pipeline", *flags], cwd=out_dir, env=env, check=True)
     return artifacts(out_dir)
+
+
+def compare(label: str, base: dict[str, bytes],
+            change: dict[str, bytes]) -> bool:
+    """Print what differs and "N of M identical"; True if nothing does."""
+    names = sorted(set(base) | set(change))
+    differ = [name for name in names if base.get(name) != change.get(name)]
+    for name in differ:
+        print(f"{label}: differs: {name}")
+    print(f"{label}: {len(names) - len(differ)} of {len(names)} identical")
+    return not differ
 
 
 def main(argv: list[str]) -> int:
@@ -115,19 +138,17 @@ def main(argv: list[str]) -> int:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(work / "base", filter="data")
         base = run_tree(work / "base" / "src", work / "base_out")
-        change = run_tree(ROOT / "src", work / "change_out")
+        runs = {"as is": run_tree(ROOT / "src", work / "change_out"),
+                "every product on the worker": run_tree(
+                    ROOT / "src", work / "worker_out", "--all-on-worker")}
     finally:
         shutil.rmtree(work)
-    names = sorted(set(base) | set(change))
-    differ = [name for name in names if base.get(name) != change.get(name)]
-    for name in differ:
-        print(f"differs: {name}")
-    print(f"{len(names) - len(differ)} of {len(names)} identical")
-    return 1 if differ else 0
+    same = [compare(label, base, change) for label, change in runs.items()]
+    return 0 if all(same) else 1
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] == ["--pipeline"]:
-        pipeline()
+    if sys.argv[1:2] == ["--pipeline"]:
+        pipeline(sys.argv[2:] == ["--all-on-worker"])
     else:
         sys.exit(main(sys.argv[1:]))
