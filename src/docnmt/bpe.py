@@ -11,6 +11,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 import heapq
+from itertools import chain
 from typing import Iterable, Sequence
 
 EOW = "</w>"
@@ -28,7 +29,9 @@ class BpeModel:
 
     def __post_init__(self):
         self._ranks = {pair: i for i, pair in enumerate(self.merges)}
-        self._cache: dict[str, tuple[str, ...]] = {}
+        # word -> its pieces, "@@" on all but the last: apply_bpe segments
+        # each word type once, and its tokens share these strings
+        self._marked: dict[str, tuple[str, ...]] = {}
 
     @property
     def num_merges(self) -> int:
@@ -41,9 +44,6 @@ class BpeModel:
 
     def segment_word(self, word: str) -> tuple[str, ...]:
         """Split one word into subword pieces (without @@ markers)."""
-        cached = self._cache.get(word)
-        if cached is not None:
-            return cached
         symbols = list(word) + [EOW]
         while len(symbols) > 1:
             best = None
@@ -59,8 +59,12 @@ class BpeModel:
             symbols = symbols[:-1]
         elif symbols[-1].endswith(EOW):
             symbols = symbols[:-1] + [symbols[-1][: -len(EOW)]]
-        pieces = tuple(symbols)
-        self._cache[word] = pieces
+        return tuple(symbols)
+
+    def _mark(self, word: str) -> tuple[str, ...]:
+        """`word`'s pieces as apply_bpe emits them, cached."""
+        *inner, last = self.segment_word(word)
+        pieces = self._marked[word] = (*[p + CONT for p in inner], last)
         return pieces
 
 
@@ -88,35 +92,34 @@ def learn_bpe(sentences: Iterable[Sequence[str]], num_merges: int) -> BpeModel:
     """
     if num_merges < 0:
         raise ValueError(f"num_merges must be >= 0, got {num_merges}")
-    word_freq: Counter[str] = Counter()
-    for sent in sentences:
-        word_freq.update(sent)
+    word_freq = Counter(chain.from_iterable(sentences))
     if not word_freq:
         raise ValueError("cannot learn BPE from an empty corpus")
 
     words = [list(w) + [EOW] for w in word_freq]
     freqs = list(word_freq.values())
-    pair_freq: Counter[tuple[str, str]] = Counter()
+    pair_freq: dict[tuple[str, str], int] = {}
+    count = pair_freq.get
     # lists the words that contain each pair, and possibly some that no
-    # longer do; a word is listed again only for a pair it did not have
+    # longer do (a merge finds nothing to join in those)
     where: dict[tuple[str, str], list[int]] = defaultdict(list)
     for i, (symbols, freq) in enumerate(zip(words, freqs)):
-        for pair in set(zip(symbols, symbols[1:])):
-            where[pair].append(i)
         for pair in zip(symbols, symbols[1:]):
-            pair_freq[pair] += freq
+            pair_freq[pair] = count(pair, 0) + freq
+            where[pair].append(i)
     heap = [(-c, pair) for pair, c in pair_freq.items()]
     heapq.heapify(heap)
 
     merges: list[tuple[str, str]] = []
     for _ in range(num_merges):
-        while heap and pair_freq.get(heap[0][1]) != -heap[0][0]:
+        while heap and count(heap[0][1]) != -heap[0][0]:
             heapq.heappop(heap)
         if not heap:
             break
         best = heapq.heappop(heap)[1]
         merges.append(best)
-        delta: Counter[tuple[str, str]] = Counter()
+        delta: dict[tuple[str, str], int] = {}
+        change = delta.get
         for i in where.pop(best):
             symbols = words[i]
             merged = _merge_symbols(symbols, best)
@@ -126,17 +129,17 @@ def learn_bpe(sentences: Iterable[Sequence[str]], num_merges: int) -> BpeModel:
             old = list(zip(symbols, symbols[1:]))
             new = list(zip(merged, merged[1:]))
             for pair in old:
-                delta[pair] -= freq
+                delta[pair] = change(pair, 0) - freq
             for pair in new:
-                delta[pair] += freq
+                delta[pair] = change(pair, 0) + freq
             for pair in set(new).difference(old):
                 where[pair].append(i)
         for pair, d in delta.items():
             if d:
-                count = pair_freq[pair] + d
-                if count:
-                    pair_freq[pair] = count
-                    heapq.heappush(heap, (-count, pair))
+                c = count(pair, 0) + d
+                if c:
+                    pair_freq[pair] = c
+                    heapq.heappush(heap, (-c, pair))
                 else:
                     del pair_freq[pair]
                     where.pop(pair, None)
@@ -145,12 +148,10 @@ def learn_bpe(sentences: Iterable[Sequence[str]], num_merges: int) -> BpeModel:
 
 def apply_bpe(tokens: Sequence[str], model: BpeModel) -> list[str]:
     """Segment a tokenized sentence; non-final pieces carry the @@ marker."""
-    out = []
+    marked = model._marked
+    out: list[str] = []
     for word in tokens:
-        pieces = model.segment_word(word)
-        for piece in pieces[:-1]:
-            out.append(piece + CONT)
-        out.append(pieces[-1])
+        out += marked.get(word) or model._mark(word)
     return out
 
 
@@ -204,8 +205,6 @@ class Vocabulary:
 
 def build_vocab(segmented_sentences: Iterable[Sequence[str]]) -> Vocabulary:
     """All observed subwords, ordered by frequency then lexicographically."""
-    freq: Counter[str] = Counter()
-    for sent in segmented_sentences:
-        freq.update(sent)
+    freq = Counter(chain.from_iterable(segmented_sentences))
     ordered = sorted(freq, key=lambda t: (-freq[t], t))
     return Vocabulary(ordered)

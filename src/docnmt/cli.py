@@ -12,9 +12,12 @@ timestamps, so reruns with the same seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import gc
 import hashlib
 import json
+import re
 import statistics
 import sys
 from pathlib import Path
@@ -134,16 +137,39 @@ def _reject_bpe_marker(path) -> None:
     """Raise on a raw token ending in the BPE marker: de-segmenting would
     glue it to the next token, or drop it."""
     with open(path, encoding="utf-8") as f:
-        for number, line in enumerate(f, 1):
-            for token in line.split():
-                if token.endswith(B.CONT):
-                    raise ValueError(f"{path}, line {number}: token {token!r} "
-                                     f"ends in the BPE marker {B.CONT!r}")
+        text = f.read()
+    # `\s` is the whitespace str.split() splits on
+    found = re.search(re.escape(B.CONT) + r"(?!\S)", text)
+    if found:
+        number = text.count("\n", 0, found.start()) + 1
+        line = text.split("\n")[number - 1]
+        token = next(t for t in line.split() if t.endswith(B.CONT))
+        raise ValueError(f"{path}, line {number}: token {token!r} "
+                         f"ends in the BPE marker {B.CONT!r}")
 
 
+@contextlib.contextmanager
+def _without_cycle_collection():
+    """Pause the cyclic garbage collector, if it runs.  Preprocessing
+    allocates a list per sentence and a tuple per word type and forms no
+    reference cycles, so each pass would only re-traverse the growing
+    corpus (see the README's design notes)."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@_without_cycle_collection()
 def cmd_preprocess(args) -> int:
     if args.merges < 0:
         raise ValueError(f"--merges must be >= 0, got {args.merges}")
+    if args.max_len < 1:
+        raise ValueError(f"--max-len must be >= 1, got {args.max_len}")
     extras = {"dev": (args.dev_src, args.dev_trg),
               "test": (args.test_src, args.test_trg)}
     for tag, pair in extras.items():
@@ -316,6 +342,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if args.n_resamples < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n_resamples}")
     ref_docs = _nonempty(C.load_blocks(args.refs), args.refs,
                          "reference sentences")
     lengths = [len(doc) for doc in ref_docs]

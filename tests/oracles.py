@@ -4,13 +4,14 @@ These deliberately avoid the library's autodiff path: gradients come from
 central finite differences over plain float functions, and the LSTM
 reference is a scalar loop over the gate equations.  The BPE learner and
 the paired bootstrap are the plain recount-everything versions of the
-library's incremental ones, and the BLEU statistics are counted with one
-`Counter` per sentence and n-gram order where the library counts integer
-n-gram codes in numpy blocks.  The per-step LSTM chain and decoder are the
-record-per-step versions of the library's scans: each step is its own
-tape record, as the library ran them before `lstm_scan`.  The position
-walk is training's batch step as it ran before one teacher-forced pass
-covered every sentence of a batch.
+library's incremental ones.  BPE application segments every token anew
+where the library segments each word type once.  The BLEU statistics
+are counted with one `Counter` per sentence and n-gram order where the
+library counts integer n-gram codes in numpy blocks.  The per-step LSTM
+chain and decoder are the record-per-step versions of the library's
+scans: each step is its own tape record, as the library ran them before
+`lstm_scan`.  The position walk is training's batch step as it ran
+before one teacher-forced pass covered every sentence of a batch.
 """
 
 from collections import Counter
@@ -406,6 +407,52 @@ def learn_bpe_reference(sentences, num_merges):
         for w in words:
             words[w] = _merge_symbols(words[w], best)
     return BpeModel(merges)
+
+
+def apply_bpe_reference(tokens, model):
+    """Segment a sentence word by word, with nothing cached: while any
+    adjacent pair of a word's symbols has a merge rule, the pair whose
+    rule comes first is joined at each occurrence, left to right.  All
+    pieces of a word but the last carry the "@@" marker."""
+    from docnmt.bpe import CONT, EOW
+
+    rank = {pair: i for i, pair in enumerate(model.merges)}
+    out = []
+    for word in tokens:
+        symbols = list(word) + [EOW]
+        while True:
+            ranks = [rank[p] for p in zip(symbols, symbols[1:]) if p in rank]
+            if not ranks:
+                break
+            left, right = model.merges[min(ranks)]
+            joined, k = [], 0
+            while k < len(symbols):
+                if symbols[k:k + 2] == [left, right]:
+                    joined.append(left + right)
+                    k += 2
+                else:
+                    joined.append(symbols[k])
+                    k += 1
+            symbols = joined
+        # the last symbol ends in the end-of-word marker, or is it
+        symbols[-1] = symbols[-1][:-len(EOW)]
+        if not symbols[-1]:
+            symbols.pop()
+        out.extend([s + CONT for s in symbols[:-1]] + symbols[-1:])
+    return out
+
+
+def build_vocab_reference(sentences):
+    """Every token of `sentences`, the most frequent first and tokens of
+    equal frequency in lexicographic order."""
+    counts = {}
+    for sentence in sentences:
+        for token in sentence:
+            counts[token] = counts.get(token, 0) + 1
+    ordered = []
+    for freq in sorted(set(counts.values()), reverse=True):
+        ordered += sorted(t for t, c in counts.items() if c == freq)
+    return ordered
 
 
 def _ngrams(tokens, n):

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from docnmt import bpe as B
 
-from oracles import learn_bpe_reference
+from oracles import (apply_bpe_reference, build_vocab_reference,
+                     learn_bpe_reference)
 
 # Whitespace-free tokens, rich in the characters of the "@@" marker and the
 # "</w>" end-of-word symbol.  A token that itself ends in "@@" does not
@@ -13,6 +14,11 @@ from oracles import learn_bpe_reference
 TOKENS = st.text(st.sampled_from("ab@</w>") | st.characters(
     exclude_categories=("Z", "C")), min_size=1, max_size=8).filter(
     lambda t: t.split() == [t] and not t.endswith("@@"))
+
+# Symbols a merge rule may join: one or two letters, and the end-of-word
+# marker with or without a letter before it.
+SYMBOLS = st.text(st.sampled_from("ab"), min_size=1, max_size=2) | \
+    st.sampled_from(["</w>", "a</w>", "b</w>"])
 
 
 class TestLearnBpe:
@@ -85,6 +91,47 @@ class TestApplyBpe:
         again = B.apply_bpe(B.remove_bpe(first), model)
         assert first == again
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), types=st.lists(TOKENS, min_size=1, max_size=8,
+                                          unique=True),
+           unseen=st.lists(TOKENS, max_size=4), merges=st.integers(0, 30))
+    def test_matches_uncached_reference(self, data, types, unseen, merges):
+        # sentences drawn from few types repeat words; one model segments
+        # the corpus it learned from, then another with unseen words
+        words = st.sampled_from(types)
+        sentences = st.lists(st.lists(words, min_size=1, max_size=8),
+                             min_size=1, max_size=4)
+        corpus = data.draw(sentences)
+        if unseen:
+            words = st.sampled_from(types + unseen)
+        other = data.draw(st.lists(st.lists(words, max_size=8), max_size=4))
+        model = B.learn_bpe(corpus, merges)
+        for sentence in corpus + other:
+            assert B.apply_bpe(sentence, model) == \
+                apply_bpe_reference(sentence, model)
+
+    @settings(max_examples=200, deadline=None)
+    @given(words=st.lists(st.text(st.sampled_from("ab"), min_size=1,
+                                  max_size=8), min_size=1, max_size=6),
+           merges=st.lists(st.tuples(SYMBOLS, SYMBOLS), max_size=12))
+    def test_matches_reference_under_any_merge_list(self, words, merges):
+        # rules need not be ones a learner would find: a rule may join
+        # symbols that only later rules build, or that never occur
+        model = B.BpeModel(merges)
+        assert B.apply_bpe(words, model) == apply_bpe_reference(words, model)
+
+    def test_rule_joins_what_a_later_rule_built(self):
+        # the second rule builds "ab"; the first then joins it with "c"
+        model = B.BpeModel([("ab", "c"), ("a", "b")])
+        assert B.apply_bpe(["abc", "abd"], model) == ["abc", "ab@@", "d"]
+
+    def test_tokens_of_one_word_share_their_pieces(self):
+        model = B.learn_bpe([["abab", "ab"]] * 3, 2)
+        first, _, again = (B.apply_bpe(s, model) for s in
+                           (["abc", "ab"], ["cab"], ["abc"]))
+        assert first[:2] == ["ab@@", "c"]
+        assert first[0] is again[0] and first[1] is again[1]
+
     def test_unknown_characters_pass_through(self):
         model = B.learn_bpe([["ab"]], 2)
         pieces = B.apply_bpe(["xyz"], model)
@@ -118,6 +165,15 @@ class TestVocabulary:
     def test_frequency_then_lexicographic(self):
         vocab = B.build_vocab([["z", "z", "m", "a"]])
         assert vocab.tokens[4:] == ["z", "a", "m"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(["a", "b", "ab", "b@@", "@@",
+                                              "Z", "z"]), max_size=8),
+                    max_size=6))
+    def test_matches_counting_reference(self, sentences):
+        # few distinct tokens, so frequencies tie often
+        assert B.build_vocab(sentences).tokens == \
+            list(B.RESERVED) + build_vocab_reference(sentences)
 
     def test_oov_maps_to_unk(self):
         vocab = B.build_vocab([["a"]])

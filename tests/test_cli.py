@@ -1,8 +1,10 @@
+import gc
 import json
 import re
 import sys
 from pathlib import Path
 
+from hypothesis import HealthCheck, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -100,6 +102,32 @@ class TestSynthPreprocess:
                      "--train-trg", str(trg), "--out-dir", str(tmp_path)])
         assert not (tmp_path / "corpus.train.src").exists()
 
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(text=st.lists(st.sampled_from(
+        ["a", "@", "@@", " ", "\t", "\n", "\r", "\r\n", "\x0b", "\x1c",
+         "\x85", "\xa0", "\u2028"]), max_size=30).map("".join))
+    def test_bpe_marker_scan_matches_scan_by_line(self, tmp_path, text):
+        # line breaks as reading by line sees them, whitespace as
+        # str.split() sees it, which is more than line breaks
+        path = tmp_path / "c.src"
+        path.write_bytes(text.encode("utf-8"))
+        expected = None
+        with open(path, encoding="utf-8") as f:
+            for number, line in enumerate(f, 1):
+                token = next((t for t in line.split()
+                              if t.endswith("@@")), None)
+                if token is not None:
+                    expected = (f"{path}, line {number}: token {token!r} "
+                                f"ends in the BPE marker '@@'")
+                    break
+        if expected is None:
+            cli._reject_bpe_marker(path)
+        else:
+            with pytest.raises(ValueError) as info:
+                cli._reject_bpe_marker(path)
+            assert str(info.value) == expected
+
     @pytest.mark.parametrize("given", ["--dev-src", "--dev-trg",
                                        "--test-src", "--test-trg"])
     def test_half_a_pair_rejected_before_writing(self, pipeline, tmp_path,
@@ -131,6 +159,45 @@ class TestSynthPreprocess:
         with pytest.raises(ValueError, match=match):
             cli.run(["preprocess", "--train-src", str(data / "train.src"),
                      "--train-trg", str(data / "train.trg"), "--max-len", "1",
+                     "--out-dir", str(tmp_path / "prep")])
+        assert not (tmp_path / "prep").exists()
+
+    def test_collector_paused_for_preprocessing_then_restored(
+            self, tmp_path, monkeypatch):
+        src, trg = tmp_path / "c.src", tmp_path / "c.trg"
+        src.write_text("a b\nc d\n\ne f\n")
+        trg.write_text("g h\ni j\n\nk l\n")
+        seen = []
+        learn_bpe = B.learn_bpe
+
+        def learn(*args):
+            seen.append(gc.isenabled())
+            return learn_bpe(*args)
+
+        monkeypatch.setattr(B, "learn_bpe", learn)
+        argv = ["preprocess", "--train-src", str(src), "--train-trg",
+                str(trg), "--merges", "2", "--out-dir", str(tmp_path)]
+        run_ok(argv)
+        assert seen == [False, False] and gc.isenabled()
+        with pytest.raises(ValueError, match="--max-len"):
+            cli.run(argv + ["--max-len", "0"])
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            run_ok(argv)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("max_len", ["0", "-1"])
+    def test_non_positive_max_len_rejected_before_loading(self, tmp_path,
+                                                          max_len):
+        # neither corpus exists: the flag is checked first
+        with pytest.raises(ValueError, match=rf"^--max-len must be >= 1, "
+                                             rf"got {max_len}$"):
+            cli.run(["preprocess", "--train-src", str(tmp_path / "c.src"),
+                     "--train-trg", str(tmp_path / "c.trg"),
+                     "--max-len", max_len,
                      "--out-dir", str(tmp_path / "prep")])
         assert not (tmp_path / "prep").exists()
 
@@ -301,9 +368,18 @@ class TestTranslateEvaluateCompare:
                 "--n", "50", "--seed", "3"])
         out = capsys.readouterr().out
         assert "p = 1.0000" in out
-        with pytest.raises(ValueError, match="n_resamples must be >= 1"):
+        with pytest.raises(ValueError, match=r"^--n must be >= 1, got 0$"):
             cli.run(["compare", str(hyp), str(hyp), str(data / "test.trg"),
                      "--n", "0"])
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_non_positive_n_rejected_before_loading(self, tmp_path, n):
+        # none of the files exists: the flag is checked first
+        with pytest.raises(ValueError, match=rf"^--n must be >= 1, got {n}$"):
+            cli.run(["compare", str(tmp_path / "a"), str(tmp_path / "b"),
+                     str(tmp_path / "ref"), "--n", n,
+                     "--out", str(tmp_path / "ab.compare")])
+        assert not (tmp_path / "ab.compare").exists()
 
     def test_meta_count_mismatch_fails_before_bleu(self, pipeline, tmp_path,
                                                    capsys):

@@ -1,7 +1,7 @@
 """`tools/same_outputs.py` compares what two trees write: trainlogs by
 their loss and dev-BLEU columns, every other file byte for byte.  Only
-`artifacts`, `compare` and the worker switch are checked here; the
-pipeline itself takes minutes."""
+`artifacts`, `compare`, the worker switch and the many-types pipeline
+are checked here; the desk pipeline takes minutes."""
 
 import importlib.util
 from pathlib import Path
@@ -70,3 +70,26 @@ def test_worker_run_fails_loudly_without_the_size_rule(monkeypatch):
     monkeypatch.delattr(T, "WORKER_MIN_MACS")
     with pytest.raises(SystemExit, match="WORKER_MIN_MACS"):
         same_outputs.pipeline(all_on_worker=True)
+
+
+def test_zipf_corpus_is_seeded_and_has_many_types(tmp_path):
+    same_outputs.zipf_corpus(tmp_path / "a")
+    same_outputs.zipf_corpus(tmp_path / "b")
+    files = ["refs.trg", "sys1.trg", "sys2.trg", "train.src", "train.trg"]
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == files
+    for name in files:
+        assert (tmp_path / "a" / name).read_bytes() == \
+            (tmp_path / "b" / name).read_bytes()
+    for name in ("train.src", "train.trg"):
+        assert len(set((tmp_path / "a" / name).read_text().split())) > 5000
+
+
+def test_many_types_pipeline_writes_what_it_compares(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    same_outputs.many_types_pipeline()
+    found = same_outputs.artifacts(tmp_path)
+    assert {"prep/many.codes.src", "prep/many.train.trg",
+            "prep/many.vocab.trg", "scores/sys2.bleu",
+            "scores/compare.printed"} <= set(found)
+    assert len(found["prep/many.codes.src"].splitlines()) == 30
+    assert b"200 resamples" in found["scores/compare.printed"]
